@@ -10,6 +10,7 @@
 #include "kvstore/compression.h"
 #include "kvstore/kv_store.h"
 #include "deltagraph/delta_graph.h"
+#include "deltagraph/differential.h"
 #include "workload/generators.h"
 #include "workload/trace_world.h"
 
@@ -49,6 +50,27 @@ void BM_DeltaBetween(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaBetween);
+
+// The builder's hot step: the Intersection parent of two leaves cut 100
+// events apart on a graph of ~10k elements. The later leaf is a COW copy of
+// the earlier one plus 100 events, as DeltaGraph::CutLeaf produces it, so
+// the leaves share every chunk those events did not touch.
+void BM_IntersectCombine(benchmark::State& state) {
+  const auto& events = SharedTrace().events;
+  Snapshot left;
+  for (size_t i = 0; i + 100 < events.size(); ++i) (void)left.Apply(events[i], true);
+  Snapshot right = left;
+  for (size_t i = events.size() - 100; i < events.size(); ++i) {
+    (void)right.Apply(events[i], true);
+  }
+  const auto fn = MakeIntersectionFunction();
+  for (auto _ : state) {
+    Snapshot parent = fn->Combine({&left, &right});
+    benchmark::DoNotOptimize(parent);
+  }
+  state.SetItemsProcessed(state.iterations() * left.ElementCount());
+}
+BENCHMARK(BM_IntersectCombine);
 
 void BM_DeltaApply(benchmark::State& state) {
   const auto& events = SharedTrace().events;

@@ -42,10 +42,14 @@ namespace hgdb {
 /// protocol visible to TSan (no-ops in production).
 ///
 /// The spine scaffolding — ctors/assignment, chunk-release annotations, the
-/// sole-owner-or-clone gate, divergent-chunk walks, erase-with-vacated-chunk
-/// handling, iterator settling — lives once in chunked_internal::SpineBase;
-/// ChunkedIdMap / ChunkedIdSet differ only in element semantics (slot array
-/// vs pure bitmap).
+/// sole-owner-or-clone gate, divergent-chunk-pair walks, the intersection
+/// walk, erase-with-vacated-chunk handling, iterator settling — lives once in
+/// chunked_internal::SpineBase; ChunkedIdMap / ChunkedIdSet differ only in
+/// element semantics (slot array vs pure bitmap).
+///
+/// Set algebra keeps that sharing: Intersect adopts every chunk whose meet
+/// is element-identical to an input chunk, so the intersection of two
+/// snapshots cut close together shares nearly all of its chunks with both.
 ///
 /// Invalidation rules match FlatHashMap: pointers into a container are
 /// invalidated by every mutation of that container (the chunk they point
@@ -174,11 +178,10 @@ class SpineBase {
     return static_cast<size_t>(key) & (kRange - 1);
   }
 
-  /// Calls fn(idx) for every occupied slot of `chunk`.
+  /// Calls fn(idx) for every set bit of a chunk's occupancy bitmap.
   template <typename Fn>
-  static void ForEachOccupied(const ChunkT& chunk, Fn fn) {
-    for (size_t i = NextOccupied(chunk.bits, 0); i < kRange;
-         i = NextOccupied(chunk.bits, i + 1)) {
+  static void ForEachOccupied(const uint64_t (&bits)[kWords], Fn fn) {
+    for (size_t i = NextOccupied(bits, 0); i < kRange; i = NextOccupied(bits, i + 1)) {
       fn(i);
     }
   }
@@ -234,15 +237,68 @@ class SpineBase {
     return true;
   }
 
-  /// Calls fn(ck, chunk) for every chunk not pointer-shared with `other`'s
-  /// chunk of the same id range. Shared chunks are element-identical by
-  /// construction, so diff loops skip them wholesale.
+  /// Calls fn(ck, mine, theirs) for every id range whose chunks are not
+  /// pointer-shared between this container and `other`; the side holding no
+  /// chunk for the range passes nullptr. Shared chunks are element-identical
+  /// by construction, so diff loops skip them wholesale. One spine probe per
+  /// chunk.
   template <typename Fn>
-  void ForEachDivergentChunk(const SpineBase& other, Fn fn) const {
+  void ForEachDivergentPair(const SpineBase& other, Fn fn) const {
     for (const auto& [ck, chunk] : spine_) {
       const ChunkPtr* oc = other.spine_.FindValue(ck);
-      if (oc != nullptr && oc->get() == chunk.get()) continue;
-      fn(ck, *chunk);
+      if (oc == nullptr) {
+        fn(ck, chunk.get(), nullptr);
+      } else if (oc->get() != chunk.get()) {
+        fn(ck, chunk.get(), oc->get());
+      }
+    }
+    for (const auto& [ck, chunk] : other.spine_) {
+      if (spine_.FindValue(ck) == nullptr) fn(ck, nullptr, chunk.get());
+    }
+  }
+
+  /// Word-wise walk over a chunk pair (either side may be null): calls
+  /// fn(idx, in_mine, in_theirs) for every slot set in `select(mine_word,
+  /// theirs_word)` — XOR for the slots occupied on one side only, OR for
+  /// every occupied slot.
+  template <typename Select, typename Fn>
+  static void ForEachSelectedSlot(const ChunkT* mine, const ChunkT* theirs, Select select,
+                                  Fn fn) {
+    for (size_t w = 0; w < kWords; ++w) {
+      const uint64_t m = mine == nullptr ? 0 : mine->bits[w];
+      const uint64_t t = theirs == nullptr ? 0 : theirs->bits[w];
+      for (uint64_t sel = select(m, t); sel != 0; sel &= sel - 1) {
+        const size_t bit = static_cast<size_t>(__builtin_ctzll(sel));
+        fn((w << 6) | bit, ((m >> bit) & 1) != 0, ((t >> bit) & 1) != 0);
+      }
+    }
+  }
+  static uint64_t Xor(uint64_t m, uint64_t t) { return m ^ t; }
+  static uint64_t Or(uint64_t m, uint64_t t) { return m | t; }
+
+  /// Intersection skeleton shared by map and set. Walks the smaller spine and
+  /// probes the larger once per chunk, so only ranges present on both sides
+  /// are visited. A chunk the two sides share by pointer is adopted whole;
+  /// `meet_chunk(a_chunk, b_chunk)` resolves a divergent pair to the chunk
+  /// the result keeps: an input's pointer when the meet is element-identical
+  /// to it, a fresh chunk otherwise, or null when the meet is empty (so no
+  /// empty chunk ever enters the spine).
+  template <typename MeetChunk>
+  static void IntersectImpl(const SpineBase& a, const SpineBase& b, SpineBase* out,
+                            MeetChunk meet_chunk) {
+    const bool a_smaller = a.spine_.size() <= b.spine_.size();
+    const SpineBase& small = a_smaller ? a : b;
+    const SpineBase& large = a_smaller ? b : a;
+    out->spine_.reserve(small.spine_.size());
+    for (const auto& [ck, chunk] : small.spine_) {
+      const ChunkPtr* oc = large.spine_.FindValue(ck);
+      if (oc == nullptr) continue;
+      ChunkPtr kept = chunk == *oc   ? chunk
+                      : a_smaller ? meet_chunk(chunk, *oc)
+                                  : meet_chunk(*oc, chunk);
+      if (kept == nullptr) continue;
+      out->size_ += kept->count;
+      out->spine_.emplace(ck, std::move(kept));
     }
   }
 
@@ -404,17 +460,86 @@ class ChunkedIdMap
   }
   bool operator!=(const ChunkedIdMap& other) const { return !(*this == other); }
 
-  /// Calls fn(key, value) for every element living in a chunk that is not
-  /// pointer-shared with `other`'s chunk of the same id range. Shared chunks
-  /// are element-identical by construction, so diff loops skip them wholesale.
+  /// Calls fn(key, value, in_this) for every key present in exactly one of
+  /// the two containers; `value` is that side's. Pointer-shared chunks are
+  /// skipped and divergent pairs XOR their occupancy words, so values held
+  /// on both sides are never visited (callers whose values can differ under
+  /// one key use ForEachDivergentSlot).
   template <typename Fn>
-  void ForEachDivergent(const ChunkedIdMap& other, Fn fn) const {
-    Base::ForEachDivergentChunk(other, [&](uint64_t ck, const Chunk& chunk) {
-      const K base = static_cast<K>(ck << kRangeLog2);
-      Base::ForEachOccupied(chunk, [&](size_t i) {
-        fn(static_cast<K>(base | i), chunk.slots[i]);
+  void ForEachSymmetricDiff(const ChunkedIdMap& other, Fn fn) const {
+    Base::ForEachDivergentPair(
+        other, [&](uint64_t ck, const Chunk* mine, const Chunk* theirs) {
+          const K base = static_cast<K>(ck << kRangeLog2);
+          Base::ForEachSelectedSlot(mine, theirs, Base::Xor, [&](size_t i, bool in_this, bool) {
+            fn(static_cast<K>(base | i), (in_this ? mine : theirs)->slots[i], in_this);
+          });
+        });
+  }
+
+  /// Calls fn(key, mine, theirs) for every key occupied on either side of a
+  /// chunk pair that is not pointer-shared; the side without the key passes
+  /// nullptr.
+  template <typename Fn>
+  void ForEachDivergentSlot(const ChunkedIdMap& other, Fn fn) const {
+    Base::ForEachDivergentPair(
+        other, [&](uint64_t ck, const Chunk* mine, const Chunk* theirs) {
+          const K base = static_cast<K>(ck << kRangeLog2);
+          Base::ForEachSelectedSlot(
+              mine, theirs, Base::Or, [&](size_t i, bool in_mine, bool in_theirs) {
+                fn(static_cast<K>(base | i), in_mine ? &mine->slots[i] : nullptr,
+                   in_theirs ? &theirs->slots[i] : nullptr);
+              });
+        });
+  }
+
+  /// The keys present in both containers, valued `meet(a_value, b_value,
+  /// &out)` (which returns false when the meet is empty and the key drops).
+  /// Keys whose values are equal keep that value without calling `meet`.
+  /// The result shares every chunk it can: pointer-shared chunks are adopted
+  /// whole, and a divergent pair whose meet is element-identical to one
+  /// input adopts that input's chunk. `meet` must be idempotent
+  /// (meet(v, v) == v).
+  template <typename Meet>
+  static ChunkedIdMap Intersect(const ChunkedIdMap& a, const ChunkedIdMap& b, Meet meet) {
+    ChunkedIdMap out;
+    Base::IntersectImpl(a, b, &out, [&](const ChunkPtr& x, const ChunkPtr& y) -> ChunkPtr {
+      uint64_t both[Base::kWords];
+      bool any = false;
+      bool keep_x = true, keep_y = true;  // Meet still element-identical to x / y.
+      for (size_t w = 0; w < Base::kWords; ++w) {
+        both[w] = x->bits[w] & y->bits[w];
+        any |= both[w] != 0;
+        keep_x &= both[w] == x->bits[w];
+        keep_y &= both[w] == y->bits[w];
+      }
+      if (!any) return nullptr;
+      // Adoption probe: only slots whose values disagree can break identity.
+      V probe{};
+      for (size_t i = chunked_internal::NextOccupied(both, 0);
+           i < kRange && (keep_x || keep_y);
+           i = chunked_internal::NextOccupied(both, i + 1)) {
+        if (x->slots[i] == y->slots[i]) continue;
+        const bool kept = meet(x->slots[i], y->slots[i], &probe);
+        keep_x = keep_x && kept && probe == x->slots[i];
+        keep_y = keep_y && kept && probe == y->slots[i];
+      }
+      if (keep_x) return x;
+      if (keep_y) return y;
+      auto fresh = std::make_shared<Chunk>();
+      Base::ForEachOccupied(both, [&](size_t i) {
+        V& slot = fresh->slots[i];
+        if (x->slots[i] == y->slots[i]) {
+          slot = x->slots[i];
+        } else if (!meet(x->slots[i], y->slots[i], &slot)) {
+          slot = V();
+          return;
+        }
+        chunked_internal::SetBit(fresh->bits, i);
+        ++fresh->count;
       });
+      return fresh->count == 0 ? nullptr : fresh;
     });
+    return out;
   }
 
   /// Merges a container with disjoint keys: ranges absent here adopt the
@@ -450,7 +575,7 @@ class ChunkedIdMap
   void ForEachPart(PartFn fn, ValueBytesFn value_bytes) const {
     Base::ForEachPartImpl(fn, [&](const Chunk& chunk) {
       size_t bytes = sizeof(Chunk);
-      Base::ForEachOccupied(chunk, [&](size_t i) { bytes += value_bytes(chunk.slots[i]); });
+      Base::ForEachOccupied(chunk.bits, [&](size_t i) { bytes += value_bytes(chunk.slots[i]); });
       return bytes;
     });
   }
@@ -503,7 +628,7 @@ class ChunkedIdMap
       return;
     }
     Chunk* c = chunked_internal::MutableChunk(mine);
-    Base::ForEachOccupied(*theirs, [&](size_t i) {
+    Base::ForEachOccupied(theirs->bits, [&](size_t i) {
       if (c->Test(i)) return;  // Disjoint by contract; be tolerant anyway.
       if (may_move_values) {
         c->slots[i] = std::move(theirs->slots[i]);
@@ -561,14 +686,37 @@ class ChunkedIdSet
   }
   bool operator!=(const ChunkedIdSet& other) const { return !(*this == other); }
 
-  /// Calls fn(key) for every id living in a chunk not pointer-shared with
-  /// `other`'s chunk of the same range (see ChunkedIdMap::ForEachDivergent).
+  /// Calls fn(key, in_this) for every id present in exactly one of the two
+  /// sets: pointer-shared chunks are skipped, divergent pairs XOR their
+  /// bitmap words.
   template <typename Fn>
-  void ForEachDivergent(const ChunkedIdSet& other, Fn fn) const {
-    Base::ForEachDivergentChunk(other, [&](uint64_t ck, const Chunk& chunk) {
-      const K base = static_cast<K>(ck << kRangeLog2);
-      Base::ForEachOccupied(chunk, [&](size_t i) { fn(static_cast<K>(base | i)); });
+  void ForEachSymmetricDiff(const ChunkedIdSet& other, Fn fn) const {
+    Base::ForEachDivergentPair(
+        other, [&](uint64_t ck, const Chunk* mine, const Chunk* theirs) {
+          const K base = static_cast<K>(ck << kRangeLog2);
+          Base::ForEachSelectedSlot(mine, theirs, Base::Xor, [&](size_t i, bool in_this, bool) {
+            fn(static_cast<K>(base | i), in_this);
+          });
+        });
+  }
+
+  /// The ids present in both sets. Pointer-shared chunks are adopted whole;
+  /// a divergent pair is met with a word-wise AND and adopts an input chunk
+  /// when the meet equals it.
+  static ChunkedIdSet Intersect(const ChunkedIdSet& a, const ChunkedIdSet& b) {
+    ChunkedIdSet out;
+    Base::IntersectImpl(a, b, &out, [](const ChunkPtr& x, const ChunkPtr& y) -> ChunkPtr {
+      Chunk meet;
+      for (size_t w = 0; w < kWords; ++w) {
+        meet.bits[w] = x->bits[w] & y->bits[w];
+        meet.count += static_cast<uint32_t>(__builtin_popcountll(meet.bits[w]));
+      }
+      if (meet.count == 0) return nullptr;
+      if (meet.count == x->count) return x;  // meet ⊆ x, so equal counts mean x.
+      if (meet.count == y->count) return y;
+      return std::make_shared<Chunk>(meet);
     });
+    return out;
   }
 
   void MergeDisjointCopy(const ChunkedIdSet& other) {

@@ -194,14 +194,24 @@ void DeltaStore::EvictOverCapacityLocked() const {
 }
 
 void DeltaStore::CacheInvalidate(DeltaId id) {
+  // An id owns at most 32 cache keys (CacheKey packs components and the
+  // delta/eventlist bit into its low 5 bits). Probe them under the shared
+  // lock: builder ids come fresh from AllocateId() and are never cached, so
+  // the write path must not stall concurrent readers' hits behind the
+  // exclusive lock.
+  const uint64_t first = CacheKey(id, 0, false);
+  {
+    std::shared_lock lock(cache_mu_);
+    uint64_t key = first;
+    while (key < first + 32 && cache_index_.count(key) == 0) ++key;
+    if (key == first + 32) return;
+  }
   std::unique_lock lock(cache_mu_);
-  for (auto it = cache_lru_.begin(); it != cache_lru_.end();) {
-    if ((it->key >> 5) == id) {
-      cache_index_.erase(it->key);
-      it = cache_lru_.erase(it);
-    } else {
-      ++it;
-    }
+  for (uint64_t key = first; key < first + 32; ++key) {
+    auto it = cache_index_.find(key);
+    if (it == cache_index_.end()) continue;
+    cache_lru_.erase(it->second);
+    cache_index_.erase(it);
   }
 }
 

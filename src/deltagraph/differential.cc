@@ -28,24 +28,26 @@ struct ElementVisitor {
 // old element). Attribute values compare by interned id. Chunks the two
 // snapshots share by pointer hold identical elements and are skipped.
 void ForEachDiff(const Snapshot& to, const Snapshot& from, const ElementVisitor& v) {
-  to.nodes().ForEachDivergent(from.nodes(), [&](NodeId n) {
-    if (!from.HasNode(n)) v.node(n);
+  to.nodes().ForEachSymmetricDiff(from.nodes(), [&](NodeId n, bool in_to) {
+    if (in_to) v.node(n);
   });
-  to.edges().ForEachDivergent(from.edges(), [&](EdgeId id, const EdgeRecord& rec) {
-    if (!from.HasEdge(id)) v.edge(id, rec);
-  });
-  to.node_attrs().ForEachDivergent(
-      from.node_attrs(), [&](NodeId owner, const AttrMap& attrs) {
-        for (const auto& [k, val] : attrs) {
-          if (from.GetNodeAttrValueId(owner, k) != val) v.nattr(owner, k, val);
-        }
+  to.edges().ForEachSymmetricDiff(
+      from.edges(), [&](EdgeId id, const EdgeRecord& rec, bool in_to) {
+        if (in_to) v.edge(id, rec);
       });
-  to.edge_attrs().ForEachDivergent(
-      from.edge_attrs(), [&](EdgeId owner, const AttrMap& attrs) {
-        for (const auto& [k, val] : attrs) {
-          if (from.GetEdgeAttrValueId(owner, k) != val) v.eattr(owner, k, val);
-        }
-      });
+  auto attrs_diff = [](const auto& to_table, const auto& from_table, const auto& fn) {
+    to_table.ForEachDivergentSlot(
+        from_table, [&](uint64_t owner, const AttrMap* mine, const AttrMap* theirs) {
+          if (mine == nullptr) return;
+          for (const auto& [k, val] : *mine) {
+            if ((theirs == nullptr ? kInvalidAttrId : theirs->Get(k)) != val) {
+              fn(owner, k, val);
+            }
+          }
+        });
+  };
+  attrs_diff(to.node_attrs(), from.node_attrs(), v.nattr);
+  attrs_diff(to.edge_attrs(), from.edge_attrs(), v.eattr);
 }
 
 // Deterministic element-selection hashes (Section 5.2: "by using a hash
@@ -113,27 +115,6 @@ void ApplySelectedDiff(Snapshot* result, const Snapshot& from, const Snapshot& t
   ForEachDiff(from, to, del);
 }
 
-Snapshot Intersect(const Snapshot& a, const Snapshot& b) {
-  Snapshot out;
-  for (NodeId n : a.nodes()) {
-    if (b.HasNode(n)) out.AddNode(n);
-  }
-  for (const auto& [id, rec] : a.edges()) {
-    if (b.HasEdge(id)) out.AddEdge(id, rec);
-  }
-  for (const auto& [owner, attrs] : a.node_attrs()) {
-    for (const auto& [k, val] : attrs) {
-      if (b.GetNodeAttrValueId(owner, k) == val) out.SetNodeAttrId(owner, k, val);
-    }
-  }
-  for (const auto& [owner, attrs] : a.edge_attrs()) {
-    for (const auto& [k, val] : attrs) {
-      if (b.GetEdgeAttrValueId(owner, k) == val) out.SetEdgeAttrId(owner, k, val);
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Concrete functions
 // ---------------------------------------------------------------------------
@@ -143,7 +124,9 @@ class IntersectionFunction final : public DifferentialFunction {
   std::string name() const override { return "intersection"; }
   Snapshot Combine(const std::vector<const Snapshot*>& children) const override {
     Snapshot out = *children[0];
-    for (size_t i = 1; i < children.size(); ++i) out = Intersect(out, *children[i]);
+    for (size_t i = 1; i < children.size(); ++i) {
+      out = Snapshot::Intersect(out, *children[i]);
+    }
     return out;
   }
 };
@@ -236,7 +219,7 @@ class SideSkewedFunction final : public DifferentialFunction {
     Snapshot out = *children[0];
     for (size_t i = 1; i < children.size(); ++i) {
       const Snapshot& b = *children[i];
-      Snapshot result = Intersect(out, b);
+      Snapshot result = Snapshot::Intersect(out, b);
       const Snapshot base = result;  // Stable copy: see ApplySelectedDiff.
       const Snapshot& extra_from = right_ ? b : out;
       ApplySelectedDiff(&result, base, extra_from, r_, 0.0);

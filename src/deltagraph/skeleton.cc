@@ -15,11 +15,13 @@ int32_t Skeleton::AddNode(SkeletonNode node) {
   nodes_.push_back(node);
   incident_.emplace_back();
   if (node.is_leaf) {
-    leaves_.push_back(node.id);
-    // Leaves are appended chronologically by the builder; keep sorted anyway.
-    std::sort(leaves_.begin(), leaves_.end(), [this](int32_t a, int32_t b) {
-      return nodes_[a].boundary_time < nodes_[b].boundary_time;
-    });
+    // Leaves arrive chronologically from the builder and from Open's decode,
+    // so this is a push_back; an out-of-order leaf is placed after every leaf
+    // with a boundary at or before its own.
+    const auto pos = std::upper_bound(
+        leaves_.begin(), leaves_.end(), node.boundary_time,
+        [this](Timestamp t, int32_t leaf) { return t < nodes_[leaf].boundary_time; });
+    leaves_.insert(pos, node.id);
   }
   return node.id;
 }

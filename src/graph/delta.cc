@@ -16,27 +16,32 @@ AttrEntry MakeAttrEntry(uint64_t owner, AttrId key_id, AttrId value_id) {
 // Diff helper over attribute tables: emits (owner,key,value) adds for entries
 // of `target` missing or different in `source`, and deletes for the opposite.
 // Value comparison is id comparison (the interner guarantees id equality ==
-// string equality process-wide). Iteration skips chunks the two tables share
-// by pointer — those owners are element-identical and contribute nothing.
+// string equality process-wide). The walk visits only chunk pairs the two
+// tables do not share by pointer, and reads both owners' maps straight from
+// the pair — no per-owner lookup.
 template <typename AttrTable>
 void DiffAttrs(const AttrTable& target, const AttrTable& source,
                std::vector<AttrEntry>* add, std::vector<AttrEntry>* del) {
-  target.ForEachDivergent(source, [&](uint64_t owner, const AttrMap& attrs) {
-    const AttrMap* sattrs = source.FindValue(owner);
-    for (const auto& [k, v] : attrs) {
-      const AttrId sv = sattrs == nullptr ? kInvalidAttrId : sattrs->Get(k);
-      if (sv != v) add->push_back(MakeAttrEntry(owner, k, v));
-      if (sv != kInvalidAttrId && sv != v) del->push_back(MakeAttrEntry(owner, k, sv));
-    }
-  });
-  source.ForEachDivergent(target, [&](uint64_t owner, const AttrMap& attrs) {
-    const AttrMap* tattrs = target.FindValue(owner);
-    for (const auto& [k, v] : attrs) {
-      if (tattrs == nullptr || !tattrs->Contains(k)) {
-        del->push_back(MakeAttrEntry(owner, k, v));
-      }
-    }
-  });
+  target.ForEachDivergentSlot(
+      source, [&](uint64_t owner, const AttrMap* tattrs, const AttrMap* sattrs) {
+        if (tattrs != nullptr && sattrs != nullptr && *tattrs == *sattrs) return;
+        if (tattrs != nullptr) {
+          for (const auto& [k, v] : *tattrs) {
+            const AttrId sv = sattrs == nullptr ? kInvalidAttrId : sattrs->Get(k);
+            if (sv != v) add->push_back(MakeAttrEntry(owner, k, v));
+            if (sv != kInvalidAttrId && sv != v) {
+              del->push_back(MakeAttrEntry(owner, k, sv));
+            }
+          }
+        }
+        if (sattrs != nullptr) {
+          for (const auto& [k, v] : *sattrs) {
+            if (tattrs == nullptr || !tattrs->Contains(k)) {
+              del->push_back(MakeAttrEntry(owner, k, v));
+            }
+          }
+        }
+      });
 }
 
 // Canonical attr order compares the interned *strings* (not the ids), so two
@@ -56,28 +61,23 @@ void SortAttrEntries(std::vector<AttrEntry>* v) {
 Delta Delta::Between(const Snapshot& target, const Snapshot& source) {
   Delta d;
   // COW-shared stores are identical by construction (differential combines
-  // and filtered copies share structure until mutated) — skip them outright;
-  // within divergent stores, chunks still shared by pointer are skipped the
-  // same way, so diffing two snapshots emitted close together costs the
-  // divergent chunks, not the graph.
+  // and filtered copies share structure until mutated) — skip them outright.
+  // Within divergent stores only chunk *pairs* not shared by pointer are
+  // visited, one spine probe per chunk; for nodes and edges the pair is
+  // diffed by XOR of its occupancy words, so diffing a parent against a
+  // child it shares most chunks with costs the divergent chunks, not the
+  // graph.
   if (!target.SharesNodeStoreWith(source)) {
-    target.nodes().ForEachDivergent(source.nodes(), [&](NodeId n) {
-      if (!source.HasNode(n)) d.add_nodes.push_back(n);
-    });
-    source.nodes().ForEachDivergent(target.nodes(), [&](NodeId n) {
-      if (!target.HasNode(n)) d.del_nodes.push_back(n);
+    target.nodes().ForEachSymmetricDiff(source.nodes(), [&](NodeId n, bool in_target) {
+      (in_target ? d.add_nodes : d.del_nodes).push_back(n);
     });
   }
   if (!target.SharesEdgeStoreWith(source)) {
-    target.edges().ForEachDivergent(
-        source.edges(), [&](EdgeId id, const EdgeRecord& rec) {
-          if (source.FindEdge(id) == nullptr) d.add_edges.emplace_back(id, rec);
-          // Ids are unique and immutable, so a shared id implies an identical
-          // record.
-        });
-    source.edges().ForEachDivergent(
-        target.edges(), [&](EdgeId id, const EdgeRecord& rec) {
-          if (!target.HasEdge(id)) d.del_edges.emplace_back(id, rec);
+    // Ids are unique and immutable, so an id present on both sides carries
+    // an identical record and contributes nothing.
+    target.edges().ForEachSymmetricDiff(
+        source.edges(), [&](EdgeId id, const EdgeRecord& rec, bool in_target) {
+          (in_target ? d.add_edges : d.del_edges).emplace_back(id, rec);
         });
   }
   if (!target.SharesNodeAttrStoreWith(source)) {

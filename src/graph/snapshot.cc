@@ -1,6 +1,7 @@
 #include "graph/snapshot.h"
 
 #include <sstream>
+#include <type_traits>
 
 namespace hgdb {
 
@@ -292,6 +293,51 @@ Snapshot Snapshot::CopyFiltered(unsigned components) const {
   }
   if (components & kCompNodeAttr) out.node_attrs_ = node_attrs_;
   if (components & kCompEdgeAttr) out.edge_attrs_ = edge_attrs_;
+  return out;
+}
+
+Snapshot Snapshot::Intersect(const Snapshot& a, const Snapshot& b) {
+  // Per store: a missing or empty side leaves the result's store null, a
+  // store shared by pointer is shared whole, and anything else meets
+  // chunk-wise.
+  auto meet_store = [](const auto& x, const auto& y, auto* out, auto kernel) {
+    if (x == nullptr || y == nullptr || x->empty() || y->empty()) return;
+    if (x == y) {
+      *out = x;
+      return;
+    }
+    auto meet = kernel(*x, *y);
+    if (meet.empty()) return;
+    *out = std::make_shared<std::decay_t<decltype(meet)>>(std::move(meet));
+  };
+  // Ids are never reused, so records under one edge id agree; `a`'s wins.
+  const auto edge_meet = [](const EdgeRecord& x, const EdgeRecord&, EdgeRecord* out) {
+    *out = x;
+    return true;
+  };
+  // Attribute triples are value-sensitive: keep (key, value) only when both
+  // sides hold that value.
+  const auto attr_meet = [](const AttrMap& x, const AttrMap& y, AttrMap* out) {
+    *out = AttrMap();
+    for (const auto& [k, v] : x) {
+      if (y.Get(k) == v) out->Set(k, v);
+    }
+    return !out->empty();
+  };
+  Snapshot out;
+  meet_store(a.nodes_, b.nodes_, &out.nodes_,
+             [](const NodeSet& x, const NodeSet& y) { return NodeSet::Intersect(x, y); });
+  meet_store(a.edges_, b.edges_, &out.edges_, [&](const EdgeMap& x, const EdgeMap& y) {
+    return EdgeMap::Intersect(x, y, edge_meet);
+  });
+  meet_store(a.node_attrs_, b.node_attrs_, &out.node_attrs_,
+             [&](const NodeAttrTable& x, const NodeAttrTable& y) {
+               return NodeAttrTable::Intersect(x, y, attr_meet);
+             });
+  meet_store(a.edge_attrs_, b.edge_attrs_, &out.edge_attrs_,
+             [&](const EdgeAttrTable& x, const EdgeAttrTable& y) {
+               return EdgeAttrTable::Intersect(x, y, attr_meet);
+             });
   return out;
 }
 

@@ -212,6 +212,14 @@ class Snapshot {
   /// O(1): the returned snapshot shares the selected stores.
   Snapshot CopyFiltered(unsigned components) const;
 
+  /// The element-set intersection a ∩ b (the paper's Intersection
+  /// differential function): nodes and edges present in both, and attribute
+  /// triples present in both *with the same value*. Edge records come from
+  /// `a`. Built chunk-wise (ChunkedIdSet/ChunkedIdMap::Intersect): the
+  /// result shares every store and chunk of `a` or `b` it can, so its cost
+  /// and its fresh memory are O(divergent chunks), not O(|a|).
+  static Snapshot Intersect(const Snapshot& a, const Snapshot& b);
+
   /// Merges another snapshot whose ids are disjoint from this one (used to
   /// combine per-partition retrieval results). Steals the other's stores
   /// outright when this side is empty.

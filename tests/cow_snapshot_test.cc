@@ -3,8 +3,10 @@
 // copy (including an allocation-count proof), chunk-granular sharing across
 // emitted snapshots (including an allocation proof that a post-emit mutation
 // epoch costs O(touched chunks), not O(store)), the chunked id containers
-// against std oracles, the string interner, the flat-hash spine containers,
-// and the DeltaStore decoded-object LRU.
+// against std oracles, the chunk-wise Snapshot::Intersect kernels against an
+// element-wise reference (including which chunks they adopt by pointer), the
+// string interner, the flat-hash spine containers, and the DeltaStore
+// decoded-object LRU.
 
 #include <gtest/gtest.h>
 
@@ -493,6 +495,185 @@ TEST(ChunkedStoreTest, EqualityIsOrderAndHistoryIndependent) {
 }
 
 // ---------------------------------------------------------------------------
+// Chunk-wise intersection (Snapshot::Intersect)
+// ---------------------------------------------------------------------------
+
+// Heap parts (spines and chunks) of `s` that none of `others` references.
+size_t FreshParts(const Snapshot& s, std::initializer_list<const Snapshot*> others) {
+  std::unordered_set<const void*> known;
+  for (const Snapshot* o : others) known.merge(test::StoreParts(*o));
+  size_t fresh = 0;
+  for (const void* p : test::StoreParts(s)) fresh += known.count(p) == 0;
+  return fresh;
+}
+
+size_t ChunkTotal(const Snapshot& s) {
+  return s.nodes().ChunkCount() + s.edges().ChunkCount() + s.node_attrs().ChunkCount() +
+         s.edge_attrs().ChunkCount();
+}
+
+// Ids crowd the chunk boundaries (127/128 for the 128-id maps, 255/256 for
+// the 256-id node set), fill a dense low range, or land in a sparse far one.
+uint64_t BoundaryHeavyId(test::SeededRng& rng) {
+  static constexpr uint64_t kEdges[] = {127, 128, 255, 256, 383, 384, 511, 512};
+  switch (rng.Uniform(3)) {
+    case 0: return kEdges[rng.Uniform(8)] + rng.Uniform(3) - 1;
+    case 1: return rng.Uniform(640);
+    default: return (uint64_t{1} << 20) + rng.Uniform(300);
+  }
+}
+
+// One random element mutation: adds, removes, and attribute sets that may
+// change an existing value.
+void MutateOnce(test::SeededRng& rng, Snapshot* g) {
+  const uint64_t id = BoundaryHeavyId(rng);
+  const std::string key = "k" + std::to_string(rng.Uniform(3));
+  const std::string value = "v" + std::to_string(rng.Uniform(3));
+  switch (rng.Uniform(8)) {
+    case 0: g->AddNode(id); break;
+    case 1: g->RemoveNode(id); break;
+    case 2: g->AddEdge(id, EdgeRecord{id % 97, id % 89, id % 2 == 0}); break;
+    case 3: g->RemoveEdge(id); break;
+    case 4: g->SetNodeAttr(id, key, value); break;
+    case 5: g->RemoveNodeAttr(id, key); break;
+    case 6: g->SetEdgeAttr(id, key, value); break;
+    default: g->RemoveEdgeAttr(id, key); break;
+  }
+}
+
+TEST(SnapshotIntersectTest, MatchesElementwiseReference) {
+  for (uint64_t seed : test::PropertySeeds(60, 12000)) {
+    test::SeededRng rng(seed);
+    SCOPED_TRACE(rng.Desc());
+    Snapshot base;
+    const int base_ops = static_cast<int>(rng.Uniform(1500));
+    for (int i = 0; i < base_ops; ++i) MutateOnce(rng, &base);
+    // The two sides diverge from a common base by a few mutations each, so
+    // most chunk pairs stay pointer-shared; one side sometimes only grows
+    // (its chunks become supersets of the other's).
+    Snapshot a = base, b = base;
+    const int a_ops = static_cast<int>(rng.Uniform(40));
+    const int b_ops = static_cast<int>(rng.Uniform(40));
+    for (int i = 0; i < a_ops; ++i) MutateOnce(rng, &a);
+    if (rng.Chance(0.3)) {
+      for (int i = 0; i < b_ops; ++i) b.AddNode(BoundaryHeavyId(rng));
+    } else {
+      for (int i = 0; i < b_ops; ++i) MutateOnce(rng, &b);
+    }
+    for (const auto& [x, y] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+      const Snapshot got = Snapshot::Intersect(*x, *y);
+      const Snapshot want = test::ReferenceIntersect(*x, *y);
+      ASSERT_TRUE(got.Equals(want)) << got.DiffString(want);
+      ASSERT_TRUE(want.Equals(got));
+      EXPECT_EQ(got.ElementCount(), want.ElementCount());
+      // The reference is built insert-only, so its spines hold exactly the
+      // occupied ranges: equal chunk counts mean no empty chunk stayed in
+      // a kernel's spine.
+      EXPECT_EQ(got.nodes().ChunkCount(), want.nodes().ChunkCount());
+      EXPECT_EQ(got.edges().ChunkCount(), want.edges().ChunkCount());
+      EXPECT_EQ(got.node_attrs().ChunkCount(), want.node_attrs().ChunkCount());
+      EXPECT_EQ(got.edge_attrs().ChunkCount(), want.edge_attrs().ChunkCount());
+    }
+  }
+}
+
+TEST(SnapshotIntersectTest, AdoptsSharedAndSubsetChunksByPointer) {
+  Snapshot a;
+  for (NodeId n = 0; n < 1024; ++n) a.AddNode(n);
+  for (EdgeId e = 0; e < 512; ++e) a.AddEdge(e, EdgeRecord{e, e + 1, false});
+  for (NodeId n = 0; n < 512; ++n) a.SetNodeAttr(n, "name", "n" + std::to_string(n));
+  for (EdgeId e = 0; e < 512; ++e) a.SetEdgeAttr(e, "w", "1");
+  Snapshot b = a;
+  // Every store diverges, each in a way whose meet is one side's chunk:
+  b.AddNode(2000);                  // Range only in b: dropped.
+  b.RemoveNode(300);                // b's chunk 256..511 is a subset of a's.
+  a.RemoveNode(600);                // a's chunk 512..767 is a subset of b's.
+  a.AddNode(1030);                  // Range only in a: dropped.
+  a.AddEdge(600, EdgeRecord{1, 2, true});  // a's edge chunk 512..639 only.
+  a.RemoveEdge(5);                  // a's edge chunk 0..127 is a subset of b's.
+  b.SetNodeAttr(7, "extra", "x");   // b's owner 7 holds a superset of a's.
+  a.RemoveEdgeAttr(130, "w");       // a's edge-attr chunk 128..255 is a subset.
+
+  const Snapshot got = Snapshot::Intersect(a, b);
+  ASSERT_TRUE(got.Equals(test::ReferenceIntersect(a, b)));
+  EXPECT_FALSE(got.HasNode(300));
+  EXPECT_FALSE(got.HasNode(600));
+  EXPECT_FALSE(got.HasNode(2000));
+  EXPECT_FALSE(got.HasEdge(5));
+  EXPECT_EQ(got.GetNodeAttr(7, "extra"), nullptr);
+  // Every chunk is adopted from a or b; only the four spines are new.
+  EXPECT_EQ(FreshParts(got, {&a, &b}), 4u);
+  EXPECT_GT(ChunkTotal(got), 4u);
+}
+
+TEST(SnapshotIntersectTest, ChangedValueDropsTripleIntoOneFreshChunk) {
+  Snapshot a = MakeSample();
+  for (NodeId n = 200; n < 700; ++n) {
+    a.AddNode(n);
+    a.SetNodeAttr(n, "name", "far");
+  }
+  Snapshot b = a;
+  b.SetNodeAttr(3, "color", "green");  // Was "red" in a.
+
+  const Snapshot got = Snapshot::Intersect(a, b);
+  ASSERT_TRUE(got.Equals(test::ReferenceIntersect(a, b)));
+  EXPECT_EQ(got.GetNodeAttr(3, "color"), nullptr);
+  ASSERT_NE(got.GetNodeAttr(3, "name"), nullptr);
+  // Untouched stores are shared whole; the attribute table gets a new spine
+  // and exactly one new chunk (the 0..127 range), adopting the others.
+  EXPECT_TRUE(got.SharesNodeStoreWith(a));
+  EXPECT_TRUE(got.SharesEdgeStoreWith(a));
+  EXPECT_TRUE(got.SharesEdgeAttrStoreWith(a));
+  EXPECT_EQ(FreshParts(got, {&a, &b}), 2u);
+}
+
+TEST(SnapshotIntersectTest, EmptyMeetsLeaveNoChunk) {
+  Snapshot a, b;
+  a.AddNode(5);
+  b.AddNode(6);  // Same 256-id chunk, disjoint bits.
+  a.AddNode(300);
+  b.AddNode(300);
+  a.AddEdge(10, EdgeRecord{5, 5, false});
+  b.AddEdge(11, EdgeRecord{6, 6, false});
+  a.SetNodeAttr(300, "k", "x");
+  b.SetNodeAttr(300, "k", "y");  // Same key, other value: the owner drops.
+  const Snapshot got = Snapshot::Intersect(a, b);
+  ASSERT_TRUE(got.Equals(test::ReferenceIntersect(a, b)));
+  EXPECT_EQ(got.NodeCount(), 1u);
+  EXPECT_EQ(got.nodes().ChunkCount(), 1u);
+  EXPECT_EQ(got.edges().ChunkCount(), 0u);
+  EXPECT_EQ(got.node_attrs().ChunkCount(), 0u);
+  EXPECT_EQ(got.GetNodeAttrs(300), nullptr);
+}
+
+TEST(SnapshotIntersectTest, NullAndEmptyStores) {
+  const Snapshot sample = MakeSample();
+  const Snapshot none;
+  EXPECT_TRUE(Snapshot::Intersect(none, sample).Equals(none));
+  EXPECT_TRUE(Snapshot::Intersect(sample, none).Equals(none));
+  EXPECT_TRUE(Snapshot::Intersect(none, none).Equals(none));
+
+  Snapshot emptied;  // Allocated stores that hold nothing.
+  emptied.AddNode(1);
+  emptied.RemoveNode(1);
+  emptied.AddEdge(100, EdgeRecord{1, 2, false});
+  emptied.RemoveEdge(100);
+  const Snapshot got = Snapshot::Intersect(emptied, sample);
+  EXPECT_TRUE(got.Equals(none));
+  EXPECT_EQ(ChunkTotal(got), 0u);
+
+  // Structure-only vs full: attribute stores are null on one side.
+  const Snapshot structure = sample.CopyFiltered(kCompStruct);
+  const Snapshot meet = Snapshot::Intersect(sample, structure);
+  EXPECT_TRUE(meet.Equals(structure));
+  EXPECT_TRUE(meet.SharesNodeStoreWith(sample));
+  EXPECT_TRUE(meet.SharesEdgeStoreWith(sample));
+
+  // A snapshot meets itself by sharing every store.
+  EXPECT_TRUE(Snapshot::Intersect(sample, sample).SharesAllStoresWith(sample));
+}
+
+// ---------------------------------------------------------------------------
 // Interner
 // ---------------------------------------------------------------------------
 
@@ -676,6 +857,36 @@ TEST(DeltaStoreCacheTest, RepeatedGetHitsCacheAndSharesDecode) {
   auto after = store.GetDeltaShared(id, kCompAll, sizes);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after.value()->IsEmpty());
+}
+
+TEST(DeltaStoreCacheTest, PutInvalidatesOnlyItsOwnId) {
+  auto kv = NewMemKVStore();
+  DeltaStore store(kv.get());
+  const Delta d = Delta::Between(MakeSample(), Snapshot());
+  ComponentSizes sizes_a, sizes_b;
+  const DeltaId a = store.AllocateId();
+  const DeltaId b = store.AllocateId();
+  ASSERT_TRUE(store.PutDelta(a, d, &sizes_a).ok());
+  ASSERT_TRUE(store.PutDelta(b, d, &sizes_b).ok());
+  // Cache both ids under several component masks.
+  for (unsigned comps : {unsigned{kCompAll}, unsigned{kCompStruct}}) {
+    ASSERT_TRUE(store.GetDeltaShared(a, comps, sizes_a).ok());
+    ASSERT_TRUE(store.GetDeltaShared(b, comps, sizes_b).ok());
+  }
+  // A put of a fresh id (the builder's case) and a re-put of `a` leave b's
+  // decodes cached.
+  ASSERT_TRUE(store.PutDelta(store.AllocateId(), d, &sizes_a).ok());
+  ASSERT_TRUE(store.PutDelta(a, Delta(), &sizes_a).ok());
+  const size_t hits = store.decoded_cache_hits();
+  ASSERT_TRUE(store.GetDeltaShared(b, kCompAll, sizes_b).ok());
+  ASSERT_TRUE(store.GetDeltaShared(b, kCompStruct, sizes_b).ok());
+  EXPECT_EQ(store.decoded_cache_hits(), hits + 2);
+  for (unsigned comps : {unsigned{kCompAll}, unsigned{kCompStruct}}) {
+    auto after = store.GetDeltaShared(a, comps, sizes_a);
+    ASSERT_TRUE(after.ok());
+    EXPECT_TRUE(after.value()->IsEmpty());
+  }
+  EXPECT_EQ(store.decoded_cache_hits(), hits + 2);
 }
 
 TEST(DeltaStoreCacheTest, CapacityZeroDisables) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <unordered_set>
@@ -43,6 +44,36 @@ TEST(DifferentialTest, IntersectionIsValueSensitiveForAttrs) {
   Snapshot p = fn->Combine({&a, &b});
   EXPECT_TRUE(p.HasNode(1));
   EXPECT_EQ(p.GetNodeAttr(1, "k"), nullptr);  // Different values: not common.
+}
+
+TEST(DifferentialTest, IntersectionParentSharesMostChunksWithLeaves) {
+  // Two leaves cut 100 events apart on a graph of ~10k elements, as the
+  // builder sees them: the later leaf is a COW copy of the earlier one with
+  // 100 more events applied.
+  RandomTraceOptions opts;
+  opts.num_events = 18000;
+  opts.seed = 314;
+  GeneratedTrace trace = GenerateRandomTrace(opts);
+  Snapshot left;
+  for (size_t i = 0; i + 100 < trace.events.size(); ++i) {
+    ASSERT_TRUE(left.Apply(trace.events[i], true).ok());
+  }
+  Snapshot right = left;
+  for (size_t i = trace.events.size() - 100; i < trace.events.size(); ++i) {
+    ASSERT_TRUE(right.Apply(trace.events[i], true).ok());
+  }
+  ASSERT_GT(left.ElementCount(), 8000u);
+
+  const Snapshot parent = MakeIntersectionFunction()->Combine({&left, &right});
+  ASSERT_TRUE(parent.Equals(test::ReferenceIntersect(left, right)));
+  const auto mine = test::StoreParts(parent);
+  for (const Snapshot* child : {&left, &right}) {
+    const auto theirs = test::StoreParts(*child);
+    size_t shared = 0;
+    for (const void* p : mine) shared += theirs.count(p);
+    EXPECT_GE(2 * shared, mine.size())
+        << shared << " of " << mine.size() << " parent parts shared";
+  }
 }
 
 TEST(DifferentialTest, UnionContainsEverything) {
@@ -131,14 +162,17 @@ TEST(SkeletonTest, LeafIntervalSearch) {
   SkeletonNode sr;
   sr.is_super_root = true;
   s.SetSuperRoot(s.AddNode(sr));
-  std::vector<int32_t> leaves;
-  for (Timestamp t : {0, 10, 20, 30}) {
+  // Added out of order: AddNode keeps leaves() chronological.
+  for (Timestamp t : {20, 0, 30, 10}) {
     SkeletonNode leaf;
     leaf.is_leaf = true;
     leaf.level = 1;
     leaf.boundary_time = t;
-    leaves.push_back(s.AddNode(leaf));
+    s.AddNode(leaf);
   }
+  std::vector<Timestamp> order;
+  for (int32_t leaf : s.leaves()) order.push_back(s.node(leaf).boundary_time);
+  EXPECT_EQ(order, (std::vector<Timestamp>{0, 10, 20, 30}));
   EXPECT_EQ(s.FindLeafInterval(0), -1);   // t <= first boundary.
   EXPECT_EQ(s.FindLeafInterval(-5), -1);
   EXPECT_EQ(s.FindLeafInterval(1), 0);    // (0, 10]
@@ -798,6 +832,51 @@ TEST_F(DeltaGraphTest, MultiHierarchyIndexIsCorrectAndPlansAcrossBoth) {
   }
   // Two hierarchies => more interior nodes than one.
   EXPECT_GT(dg_->Stats().node_count, dg_->Stats().leaf_count * 2 - 2);
+}
+
+TEST_F(DeltaGraphTest, IntersectionParentsEqualReferenceOfChildren) {
+  // Every interior node, materialized from the index, must hold exactly the
+  // element-wise intersection of its children (also materialized from the
+  // index), folded oldest to newest.
+  RandomTraceOptions opts;
+  opts.num_events = 3000;
+  opts.seed = 2718;
+  GeneratedTrace trace = GenerateRandomTrace(opts);
+  for (int arity : {2, 3}) {
+    SCOPED_TRACE("arity=" + std::to_string(arity));
+    DeltaGraphOptions dgo;
+    dgo.leaf_size = 100;
+    dgo.arity = arity;
+    dgo.functions = {"intersection"};
+    Build(trace.events, dgo);
+    const Skeleton& skel = dg_->skeleton();
+    auto graph_of = [&](int32_t node) {
+      EXPECT_TRUE(dg_->MaterializeNode(node).ok());
+      return *dg_->materialized_snapshot(node);
+    };
+    size_t parents = 0;
+    for (int32_t id = 0; id < static_cast<int32_t>(skel.node_count()); ++id) {
+      const SkeletonNode& node = skel.node(id);
+      if (node.is_leaf || node.is_super_root) continue;
+      std::vector<int32_t> children;
+      for (int32_t eid : skel.incident_edges(id)) {
+        const SkeletonEdge& e = skel.edge(eid);
+        if (!e.is_eventlist && e.from == id) children.push_back(e.to);
+      }
+      ASSERT_GE(children.size(), 2u);
+      std::sort(children.begin(), children.end(), [&](int32_t x, int32_t y) {
+        return skel.node(x).boundary_time < skel.node(y).boundary_time;
+      });
+      Snapshot want = graph_of(children[0]);
+      for (size_t i = 1; i < children.size(); ++i) {
+        want = test::ReferenceIntersect(want, graph_of(children[i]));
+      }
+      const Snapshot got = graph_of(id);
+      EXPECT_TRUE(got.Equals(want)) << "node " << id << "\n" << got.DiffString(want);
+      ++parents;
+    }
+    EXPECT_GT(parents, 10u);
+  }
 }
 
 TEST_F(DeltaGraphTest, GrowingOnlyIntersectionRootIsInitialGraph) {

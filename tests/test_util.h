@@ -16,9 +16,11 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/types.h"
+#include "graph/snapshot.h"
 #include "temporal/event.h"
 
 namespace hgdb {
@@ -86,6 +88,39 @@ inline std::vector<Timestamp> RandomTimes(SeededRng& rng,
   }
   if (k >= 4) times[k - 1] = times[0];
   return times;
+}
+
+/// The heap parts (spines and chunks) `g` references, by pointer: parts
+/// shared between snapshots compare equal (Snapshot::ForEachStorePart).
+inline std::unordered_set<const void*> StoreParts(const Snapshot& g) {
+  std::unordered_set<const void*> parts;
+  g.ForEachStorePart([&](const void* p, size_t) { parts.insert(p); });
+  return parts;
+}
+
+/// Element-wise reference for Snapshot::Intersect: every element of `a` that
+/// `b` holds too, attribute triples only with an equal value, edge records
+/// from `a`. Built one element at a time into fresh chunks, so it shares
+/// nothing with either input.
+inline Snapshot ReferenceIntersect(const Snapshot& a, const Snapshot& b) {
+  Snapshot out;
+  for (NodeId n : a.nodes()) {
+    if (b.HasNode(n)) out.AddNode(n);
+  }
+  for (const auto& [id, rec] : a.edges()) {
+    if (b.HasEdge(id)) out.AddEdge(id, rec);
+  }
+  for (const auto& [owner, attrs] : a.node_attrs()) {
+    for (const auto& [k, val] : attrs) {
+      if (b.GetNodeAttrValueId(owner, k) == val) out.SetNodeAttrId(owner, k, val);
+    }
+  }
+  for (const auto& [owner, attrs] : a.edge_attrs()) {
+    for (const auto& [k, val] : attrs) {
+      if (b.GetEdgeAttrValueId(owner, k) == val) out.SetEdgeAttrId(owner, k, val);
+    }
+  }
+  return out;
 }
 
 }  // namespace test
