@@ -3,10 +3,11 @@
 // The paper retrieves 2..6 snapshots spaced one month apart from Dataset 1;
 // the Steiner-planned multipoint query fetches shared deltas once and wins
 // decisively because adjacent snapshots overlap heavily. On top of the
-// paper's comparison we time the multipoint plan under both executors: the
-// serial backtracking visitor and the parallel subtree executor
-// (HISTGRAPH_THREADS workers, default 4), which the acceptance gate of the
-// exec subsystem tracks at k >= 8.
+// paper's comparison we time the multipoint plan at two pool sizes of the
+// one plan executor: pool=1 (every subtree inline on the calling thread) and
+// pool=N (HISTGRAPH_THREADS threads, default 4, sibling subtrees spread over
+// the pool), which the acceptance gate of the exec subsystem tracks at
+// k >= 8.
 
 #include <algorithm>
 #include <unordered_map>
@@ -35,23 +36,22 @@ int main() {
   opts.maintain_current = false;
   auto dg = BuildIndex(store.get(), data, opts);
 
-  // HISTGRAPH_THREADS is honored exactly; at 1 the "parallel" columns fall
-  // back to the serial executor (the gate in ExecuteSnapshotPlan), so a
-  // thread-scaling sweep over the env knob stays truthful.
+  // HISTGRAPH_THREADS is honored exactly; at 1 the pool=N column runs inline
+  // like pool=1, so a thread-scaling sweep over the env knob stays truthful.
   const int threads = static_cast<int>(GetEnvInt("HISTGRAPH_THREADS", 4));
   TaskPool pool(threads);
-  std::printf("parallel executor: %d thread(s)%s\n\n", pool.parallelism(),
-              pool.parallelism() < 2 ? " (serial path)" : "");
+  std::printf("pool=N: %d thread(s)%s\n\n", pool.parallelism(),
+              pool.parallelism() < 2 ? " (inline)" : "");
 
   // Time points one "month" (30 days) apart in the middle of the history.
   const Timestamp base = data.min_time + (data.max_time - data.min_time) / 2;
-  PrintRow({"# queries", "singlepoints", "multi serial", "multi parallel", "par speedup"},
+  PrintRow({"# queries", "singlepoints", "multi pool=1", "multi pool=N", "N speedup"},
            16);
   for (int k : {2, 4, 6, 8, 12}) {
     std::vector<Timestamp> times;
     for (int i = 0; i < k; ++i) times.push_back(base + i * 30);
 
-    dg->SetTaskPool(nullptr);  // Serial baseline paths.
+    dg->SetTaskPool(nullptr);  // pool=1: everything inline.
     Stopwatch sw;
     for (Timestamp t : times) {
       auto snap = dg->GetSnapshot(t, kCompAll);
@@ -60,34 +60,34 @@ int main() {
     const double single_ms = sw.ElapsedMillis();
 
     // One untimed run to settle the decoded-object LRU so the two timed
-    // executors see the same cache state.
+    // pool sizes see the same cache state.
     if (!dg->GetSnapshots(times, kCompAll).ok()) std::abort();
 
     sw.Restart();
-    auto serial_snaps = dg->GetSnapshots(times, kCompAll);
-    if (!serial_snaps.ok()) std::abort();
-    const double multi_serial_ms = sw.ElapsedMillis();
+    auto one_snaps = dg->GetSnapshots(times, kCompAll);
+    if (!one_snaps.ok()) std::abort();
+    const double multi_one_ms = sw.ElapsedMillis();
 
     dg->SetTaskPool(&pool);
     sw.Restart();
-    auto par_snaps = dg->GetSnapshots(times, kCompAll);
-    if (!par_snaps.ok()) std::abort();
-    const double multi_par_ms = sw.ElapsedMillis();
-    for (size_t i = 0; i < times.size(); ++i) {  // Executors must agree.
-      if (!par_snaps.value()[i].Equals(serial_snaps.value()[i])) std::abort();
+    auto n_snaps = dg->GetSnapshots(times, kCompAll);
+    if (!n_snaps.ok()) std::abort();
+    const double multi_n_ms = sw.ElapsedMillis();
+    for (size_t i = 0; i < times.size(); ++i) {  // Pool sizes must agree.
+      if (!n_snaps.value()[i].Equals(one_snaps.value()[i])) std::abort();
     }
 
     char speedup[16];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx", multi_serial_ms / multi_par_ms);
-    PrintRow({std::to_string(k), FormatMs(single_ms), FormatMs(multi_serial_ms),
-              FormatMs(multi_par_ms), speedup},
+    std::snprintf(speedup, sizeof(speedup), "%.2fx", multi_one_ms / multi_n_ms);
+    PrintRow({std::to_string(k), FormatMs(single_ms), FormatMs(multi_one_ms),
+              FormatMs(multi_n_ms), speedup},
              16);
     ReportResult("singlepoints_k" + std::to_string(k), single_ms * 1e6);
-    ReportResult("multipoint_k" + std::to_string(k), multi_serial_ms * 1e6);
-    ReportResult("multipoint_parallel_k" + std::to_string(k), multi_par_ms * 1e6);
+    ReportResult("multipoint_k" + std::to_string(k), multi_one_ms * 1e6);
+    ReportResult("multipoint_parallel_k" + std::to_string(k), multi_n_ms * 1e6);
   }
   // --- Observability overhead (sampled gate < 2%, full-on gate < 3.5%) ------
-  // The k=8 serial multipoint query with metrics + trace spans fully off vs
+  // The k=8 pool=1 multipoint query with metrics + trace spans fully off vs
   // fully on (trace dumping stays off; HISTGRAPH_TRACE gates that
   // separately). Warm LRU, per-triple paired comparison, so the
   // percent-level comparison is not drowned by simulated-disk jitter.
@@ -148,7 +148,7 @@ int main() {
     const double sampled_ms = best[kSampled];
     const double overhead_pct = median_overhead_pct(ratio_on);
     const double sampled_pct = median_overhead_pct(ratio_sampled);
-    std::printf("\nobservability overhead (k=8 multipoint, serial): off %s, on %s "
+    std::printf("\nobservability overhead (k=8 multipoint, pool=1): off %s, on %s "
                 "(%+.2f%%; debug gate < 3.5%%), sampled %s (%+.2f%%; "
                 "production gate < 2%%)\n",
                 FormatMs(off_ms).c_str(), FormatMs(on_ms).c_str(), overhead_pct,
@@ -171,7 +171,7 @@ int main() {
   // shared with another of the k snapshots (0 = every snapshot is a full
   // private copy, -> 1 = near-total structural sharing).
   {
-    std::printf("\nemit cost for k=8 closely spaced snapshots (serial executor):\n");
+    std::printf("\nemit cost for k=8 closely spaced snapshots (pool=1):\n");
     dg->SetTaskPool(nullptr);
     constexpr int kShare = 8;
     const Timestamp spacing = 4;  // ~a few dozen events apart on Dataset 1.
@@ -305,9 +305,9 @@ int main() {
   }
 
   std::printf(
-      "\npaper shape: multipoint far below k independent retrievals; the\n"
-      "parallel executor should pull further ahead as k (independent plan\n"
-      "subtrees) grows, given >= 2 real cores; prefetch hides fetch latency\n"
-      "even on one core (the I/O pool sleeps, the executor applies).\n");
+      "\npaper shape: multipoint far below k independent retrievals; pool=N\n"
+      "should pull further ahead as k (independent plan subtrees) grows,\n"
+      "given >= 2 real cores; prefetch hides fetch latency even on one core\n"
+      "(the I/O pool sleeps, the executor applies).\n");
   return 0;
 }

@@ -29,14 +29,14 @@ Result<std::unique_ptr<GraphManager>> GraphManager::Open(KVStore* store,
 
 void GraphManager::WireExecPool() {
   if (options_.exec_parallelism < 0 || options_.exec_parallelism == 1) {
-    // 1 = documented forced serial; negative = invalid, fail conservative
-    // (serial) rather than silently spawning the shared pool.
+    // 1 = documented inline execution; negative = invalid, fail
+    // conservative (inline) rather than silently spawning the shared pool.
     dg_->SetTaskPool(nullptr);
   } else if (options_.exec_parallelism >= 2) {
     owned_exec_pool_ = std::make_unique<TaskPool>(options_.exec_parallelism);
     dg_->SetTaskPool(owned_exec_pool_.get());
   }
-  // 0: keep the DeltaGraph default (the lazily resolved shared pool).
+  // 0: keep the DeltaGraph default (the shared pool).
 
   if (options_.io_parallelism < 0) {
     dg_->SetIoPool(nullptr);  // Prefetch off: fetches block their worker.

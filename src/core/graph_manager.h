@@ -58,10 +58,10 @@ struct GraphManagerOptions {
   /// full-attribute retrievals use dependence (a partial retrieval must not
   /// inherit attributes the caller did not ask for).
   double dependent_overlay_threshold = 0.25;
-  /// Parallelism of multipoint plan execution. 0 = the process-wide default
-  /// (HISTGRAPH_THREADS, falling back to the hardware concurrency); 1 forces
-  /// the serial executor; N >= 2 runs this manager's retrievals on a private
-  /// pool of N threads. Negative values are treated as 1 (forced serial).
+  /// Parallelism of plan execution. 0 = the process-wide default
+  /// (HISTGRAPH_THREADS, falling back to the hardware concurrency); 1 runs
+  /// every plan inline on the querying thread; N >= 2 spreads plan subtrees
+  /// over a private pool of N threads. Negative values are treated as 1.
   int exec_parallelism = 0;
   /// Parallelism of the asynchronous fetch prefetcher. 0 = the process-wide
   /// default (IoPool::Shared, sized by HISTGRAPH_IO_THREADS, default 8);

@@ -30,7 +30,6 @@ namespace hgdb {
 
 class TaskPool;        // src/exec/task_pool.h
 class IoPool;          // src/exec/io_pool.h
-class ExecFetchCache;  // src/exec/fetch_cache.h
 
 /// Construction parameters of a DeltaGraph (Section 4.6): the leaf-eventlist
 /// size L, the arity k, and the differential function(s). Multiple functions
@@ -72,14 +71,14 @@ struct DeltaGraphStats {
 
 /// Applies the events with lo < time <= hi to `g`: forward applies them
 /// oldest-first, backward applies the same range newest-first, inverted.
-/// Shared by the serial plan visitor and the parallel executor. Takes a span
-/// so both owned eventlists and pinned recent-tail views apply through one
-/// path.
+/// Takes a span so both owned eventlists and pinned recent-tail views apply
+/// through one path.
 Status ApplyEventRange(std::span<const Event> events, Snapshot* g, bool forward,
                        Timestamp lo, Timestamp hi, unsigned components);
 
-/// \brief Visitor over a plan execution (used for snapshot retrieval and for
-/// auxiliary-index retrieval over the same plan).
+/// \brief Visitor over a backtracking plan walk (ExecutePlan): auxiliary-index
+/// retrieval replays snapshot plans through it. Snapshot retrieval itself
+/// runs on the forking PlanExecutor (src/exec/plan_executor.h).
 class PlanVisitor {
  public:
   virtual ~PlanVisitor() = default;
@@ -90,10 +89,8 @@ class PlanVisitor {
   virtual Status ApplyDelta(int32_t edge, bool forward) = 0;
   virtual Status ApplyEvents(int32_t edge, bool forward, Timestamp lo, Timestamp hi) = 0;
   virtual Status ApplyRecentEvents(bool forward, Timestamp lo, Timestamp hi) = 0;
-  /// `is_final` marks the very last emit of the plan: the working snapshot
-  /// will not be used again, so the visitor may move instead of copy.
-  virtual Status EmitTime(Timestamp t, bool is_final) = 0;
-  virtual Status EmitNode(int32_t node, bool is_final) = 0;
+  virtual Status EmitTime(Timestamp t) = 0;
+  virtual Status EmitNode(int32_t node) = 0;
 };
 
 /// \brief The DeltaGraph: a hierarchical delta-based index over the history
@@ -147,9 +144,8 @@ class DeltaGraph {
 
   /// Multipoint retrieval (Section 4.4): one Steiner-planned pass fetching
   /// each shared delta once. Returns snapshots in the order of `times`.
-  /// Independent plan subtrees execute concurrently on the attached task
-  /// pool when it has parallelism >= 2 (see SetTaskPool); results are
-  /// identical to serial execution.
+  /// Independent plan subtrees execute concurrently on the resolved task
+  /// pool (see SetTaskPool); results do not depend on its parallelism.
   Result<std::vector<Snapshot>> GetSnapshots(const std::vector<Timestamp>& times,
                                              unsigned components = kCompAll);
 
@@ -205,21 +201,10 @@ class DeltaGraph {
   Result<Plan> PlanFor(const std::vector<Timestamp>& times,
                        unsigned components = kCompAll) const;
 
-  /// Runs a plan with a custom visitor (auxiliary-index retrieval reuses the
-  /// snapshot plan machinery this way).
+  /// Walks a plan depth-first with a custom visitor, backtracking (undoing
+  /// each non-tail step) between siblings. Auxiliary-index retrieval reuses
+  /// the snapshot plan machinery this way.
   Status ExecutePlan(const Plan& plan, PlanVisitor* visitor) const;
-
-  /// Executes an already-built snapshot plan with the serial backtracking
-  /// visitor, resolving every fetch through `pinned` when non-null — e.g. a
-  /// cache an external prefetch pass has already filled. The partitioned
-  /// index uses this to run per-shard plans serially behind one up-front
-  /// cross-shard prefetch; with `pinned` null it is a plain serial execute.
-  /// `frontier` fixes the visibility epoch (null pins the latest); the plan
-  /// must have been built against the same frontier.
-  Result<SnapshotPlanResults> ExecutePlanPinned(const Plan& plan, unsigned components,
-                                                ExecFetchCache* pinned,
-                                                obs::TraceCtx tc = {},
-                                                FrontierPtr frontier = nullptr) const;
 
   /// Collects all events with ts <= time < te, including transient events if
   /// requested (backs GetHistGraphInterval).
@@ -274,26 +259,21 @@ class DeltaGraph {
   /// the adaptive materialization advisor scores candidates with. Gated like
   /// FetchFrequency: off unless metrics are on or SetAlwaysOn was called.
   FetchFrequency& node_touches() const { return node_touches_; }
-  /// Events newer than the last cut leaf (read-only; the parallel executor
-  /// applies them without going through the store).
-  const EventList& recent_events() const { return recent_; }
-
-  /// Attaches the task pool that multipoint plan execution runs on. nullptr
-  /// forces the serial path. When never called, the default is
-  /// TaskPool::Shared() — resolved lazily, the first time a branchy plan
-  /// executes, so serial-only processes never spawn the pool's threads —
-  /// which is itself serial unless HISTGRAPH_THREADS (or the hardware)
-  /// allows >= 2 threads. Retrieval is safe to run concurrently from several
-  /// threads, but this setter itself must not race with in-flight queries.
+  /// Attaches the task pool that plan execution spawns sibling subtrees on.
+  /// nullptr runs every plan inline on the calling thread
+  /// (TaskPool::Serial()). When never called, the default is
+  /// TaskPool::Shared(), which is itself inline unless HISTGRAPH_THREADS (or
+  /// the hardware) allows >= 2 threads. Retrieval is safe to run
+  /// concurrently from several threads, but this setter itself must not race
+  /// with in-flight queries.
   void SetTaskPool(TaskPool* pool) {
     exec_pool_ = pool;
     exec_pool_set_ = true;
   }
-  /// The explicitly attached pool (nullptr when defaulted or forced serial).
-  TaskPool* task_pool() const { return exec_pool_; }
-  /// True once SetTaskPool was called — distinguishes "forced serial"
-  /// (set to nullptr) from "never configured" (lazy shared default).
-  bool task_pool_overridden() const { return exec_pool_set_; }
+  /// The pool plan execution actually uses: the attached one,
+  /// TaskPool::Serial() after SetTaskPool(nullptr), or TaskPool::Shared()
+  /// when never configured. Never null.
+  TaskPool* ResolveTaskPool() const;
 
   /// Attaches the I/O pool that plan-driven prefetch runs on. nullptr
   /// disables prefetching (every fetch blocks its worker, the pre-PR 3
@@ -427,7 +407,7 @@ class DeltaGraph {
   mutable SsspCache sssp_cache_;  ///< Singlepoint planning cache.
   mutable std::mutex sssp_mu_;    ///< Guards sssp_cache_ across concurrent queries.
   TaskPool* exec_pool_ = nullptr;  ///< Plan-execution pool (see SetTaskPool).
-  bool exec_pool_set_ = false;     ///< False = default to the lazy shared pool.
+  bool exec_pool_set_ = false;     ///< False = default to the shared pool.
   IoPool* io_pool_ = nullptr;      ///< Prefetch I/O pool (see SetIoPool).
   bool io_pool_set_ = false;       ///< False = default to IoPool::Shared().
   int io_lane_ = -1;               ///< Fixed prefetch lane (see SetIoLane).
@@ -435,8 +415,6 @@ class DeltaGraph {
   std::vector<AuxIndexHook*> aux_hooks_;
 
   std::string metrics_export_name_;  ///< Non-empty after RegisterMetricsExports.
-
-  friend class SnapshotPlanVisitor;
 };
 
 }  // namespace hgdb

@@ -8,7 +8,7 @@
 #include "common/coding.h"
 #include "exec/fetch_cache.h"
 #include "exec/io_pool.h"
-#include "exec/parallel_executor.h"
+#include "exec/plan_executor.h"
 #include "exec/prefetcher.h"
 #include "exec/task_pool.h"
 
@@ -170,14 +170,7 @@ Status PartitionedDeltaGraph::Finalize() {
 }
 
 void PartitionedDeltaGraph::SetTaskPool(TaskPool* pool) {
-  exec_pool_ = pool;
-  exec_pool_set_ = true;
   for (auto& p : partitions_) p->SetTaskPool(pool);
-}
-
-TaskPool* PartitionedDeltaGraph::ResolveTaskPool() const {
-  if (exec_pool_ != nullptr) return exec_pool_;
-  return exec_pool_set_ ? nullptr : &TaskPool::Shared();
 }
 
 void PartitionedDeltaGraph::SetIoPool(IoPool* pool) {
@@ -190,8 +183,8 @@ void PartitionedDeltaGraph::SetDecodedCacheCapacity(size_t entries) {
 
 Status PartitionedDeltaGraph::ForEachShard(const std::function<Status(size_t)>& fn) {
   const size_t n = partitions_.size();
-  TaskPool* pool = ResolveTaskPool();
-  if (pool == nullptr || pool->parallelism() < 2 || n < 2) {
+  TaskPool* pool = partitions_.front()->ResolveTaskPool();
+  if (pool->parallelism() < 2 || n < 2) {
     for (size_t i = 0; i < n; ++i) HG_RETURN_NOT_OK(fn(i));
     return Status::OK();
   }
@@ -231,8 +224,7 @@ Result<std::vector<std::vector<Snapshot>>> PartitionedDeltaGraph::RetrieveParts(
   tc = retrieve_span.ctx();
   std::vector<obs::SpanId> shard_spans(n, obs::kNoSpan);
 
-  TaskPool* pool = ResolveTaskPool();
-  const bool parallel = pool != nullptr && pool->parallelism() >= 2;
+  TaskPool* pool = partitions_.front()->ResolveTaskPool();
 
   // Pin one cross-shard frontier up front: planning, prefetch, execution,
   // and the replay fallbacks below all resolve against this vector, so a
@@ -262,7 +254,7 @@ Result<std::vector<std::vector<Snapshot>>> PartitionedDeltaGraph::RetrieveParts(
   for (size_t i = 0; i < n; ++i) {
     if (fallback[i]) continue;
     caches[i] = std::make_unique<ExecFetchCache>();
-    if (parallel) caches[i]->SetDecodePool(pool);
+    caches[i]->SetDecodePool(pool);
     if (tc) {
       shard_spans[i] = tc.trace->BeginSpan("shard", tc.span);
       tc.trace->SetAttr(shard_spans[i], "shard", static_cast<int64_t>(i));
@@ -271,12 +263,8 @@ Result<std::vector<std::vector<Snapshot>>> PartitionedDeltaGraph::RetrieveParts(
       tc.trace->SetAttr(shard_spans[i], "est_cost_bytes", plans[i].estimated_cost);
       caches[i]->SetTrace(obs::TraceCtx{tc.trace, shard_spans[i]});
     }
-    IoPool* io = partitions_[i]->ResolveIoPool();
-    if (io != nullptr) {
-      StartCollectedPrefetch(*partitions_[i], *frontiers[i]->skeleton,
-                             CollectPlanFetches(plans[i]), components,
-                             caches[i].get(), io);
-    }
+    StartPlanPrefetch(*partitions_[i], *frontiers[i]->skeleton, plans[i],
+                      components, caches[i].get(), partitions_[i]->ResolveIoPool());
   }
 
   Status first_error;
@@ -284,75 +272,56 @@ Result<std::vector<std::vector<Snapshot>>> PartitionedDeltaGraph::RetrieveParts(
     if (first_error.ok() && !s.ok()) first_error = s;
   };
 
-  if (parallel) {
-    // Every shard's plan tree goes into ONE group on the shared pool: shard
-    // subtrees are sibling tasks, stolen freely across workers, so a shard
-    // that finishes early lends its cycles to the others. Executors get a
-    // null IoPool — their prefetch already ran above into the shard cache —
-    // so Start does not queue the same fetches twice.
-    std::vector<std::unique_ptr<ParallelPlanExecutor>> executors(n);
-    {
-      TaskGroup group(pool);
-      for (size_t i = 0; i < n; ++i) {
-        if (fallback[i]) continue;
-        executors[i] = std::make_unique<ParallelPlanExecutor>(
-            partitions_[i].get(), frontiers[i], components, pool,
-            caches[i].get(), /*io_pool=*/nullptr);
-        executors[i]->SetTrace(obs::TraceCtx{tc.trace, shard_spans[i]});
-        executors[i]->Start(plans[i], &group);
-      }
-      group.Wait();
-    }
-    uint64_t busy_sum_ns = 0, busy_max_ns = 0;
-    size_t busy_shards = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (executors[i] == nullptr) continue;
-      const Status s = executors[i]->TakeStatus();
-      if (tc) {
-        const uint64_t busy = executors[i]->busy_ns();
-        busy_sum_ns += busy;
-        busy_max_ns = std::max(busy_max_ns, busy);
-        ++busy_shards;
-        tc.trace->EndSpan(shard_spans[i]);
-      }
-      if (!s.ok()) {
-        record(s);
-        continue;
-      }
-      auto in_order = executors[i]->TakeResults().TakeInOrder(times);
-      record(in_order.status());
-      if (in_order.ok()) parts[i] = std::move(in_order).value();
-    }
-    if (tc && busy_shards > 0) {
-      // Execution skew: slowest shard's busy time over the per-shard mean;
-      // 1.0 = perfectly balanced.
-      tc.trace->SetAttr(tc.span, "busy_us_sum",
-                        static_cast<int64_t>(busy_sum_ns / 1000));
-      tc.trace->SetAttr(tc.span, "busy_us_max",
-                        static_cast<int64_t>(busy_max_ns / 1000));
-      if (busy_sum_ns > 0) {
-        tc.trace->SetAttr(tc.span, "shard_skew",
-                          static_cast<double>(busy_max_ns) * busy_shards /
-                              static_cast<double>(busy_sum_ns));
-      }
-    }
-  } else {
-    // Serial execution pinned to the prefilled caches: the single thread
-    // walks one shard plan at a time while the I/O lanes keep fetching the
-    // other shards' payloads in the background.
+  // Every shard's plan tree goes into ONE group on the resolved pool: shard
+  // subtrees are sibling tasks, stolen freely across workers, so a shard
+  // that finishes early lends its cycles to the others (on a serial pool
+  // each tree runs inline as it is started). Executors get a null IoPool —
+  // their prefetch already ran above into the shard cache — so they do not
+  // queue the same fetches twice.
+  std::vector<std::unique_ptr<PlanExecutor>> executors(n);
+  {
+    TaskGroup group(pool);
     for (size_t i = 0; i < n; ++i) {
       if (fallback[i]) continue;
-      auto results = partitions_[i]->ExecutePlanPinned(
-          plans[i], components, caches[i].get(),
-          obs::TraceCtx{tc.trace, shard_spans[i]}, frontiers[i]);
-      if (tc) tc.trace->EndSpan(shard_spans[i]);
-      if (!results.ok()) {
-        record(results.status());
-        continue;
-      }
-      auto in_order = results.value().TakeInOrder(times);
-      record(in_order.status());
-      if (in_order.ok()) parts[i] = std::move(in_order).value();
+      executors[i] = std::make_unique<PlanExecutor>(
+          partitions_[i].get(), frontiers[i], components, pool, caches[i].get(),
+          /*io_pool=*/nullptr);
+      executors[i]->SetTrace(obs::TraceCtx{tc.trace, shard_spans[i]});
+      executors[i]->Start(plans[i], &group);
+    }
+    group.Wait();
+  }
+  uint64_t busy_sum_ns = 0, busy_max_ns = 0;
+  size_t busy_shards = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (executors[i] == nullptr) continue;
+    const Status s = executors[i]->TakeStatus();
+    if (tc) {
+      const uint64_t busy = executors[i]->busy_ns();
+      busy_sum_ns += busy;
+      busy_max_ns = std::max(busy_max_ns, busy);
+      ++busy_shards;
+      tc.trace->EndSpan(shard_spans[i]);
+    }
+    if (!s.ok()) {
+      record(s);
+      continue;
+    }
+    auto in_order = executors[i]->TakeResults().TakeInOrder(times);
+    record(in_order.status());
+    if (in_order.ok()) parts[i] = std::move(in_order).value();
+  }
+  if (tc && busy_shards > 0) {
+    // Execution skew: slowest shard's busy time over the per-shard mean;
+    // 1.0 = perfectly balanced.
+    tc.trace->SetAttr(tc.span, "busy_us_sum",
+                      static_cast<int64_t>(busy_sum_ns / 1000));
+    tc.trace->SetAttr(tc.span, "busy_us_max",
+                      static_cast<int64_t>(busy_max_ns / 1000));
+    if (busy_sum_ns > 0) {
+      tc.trace->SetAttr(tc.span, "shard_skew",
+                        static_cast<double>(busy_max_ns) * busy_shards /
+                            static_cast<double>(busy_sum_ns));
     }
   }
 

@@ -98,9 +98,8 @@ class PartitionedDeltaGraph {
 
   /// The unmerged core of GetSnapshots: `result[shard][i]` is shard `shard`'s
   /// piece of the snapshot at `times[i]`. Plans every shard, issues all
-  /// shards' prefetches up front, then executes the shard plans concurrently
-  /// (sibling task trees on one pool) or serially pinned to the prefilled
-  /// caches when the resolved pool is serial.
+  /// shards' prefetches up front, then runs one task tree per shard on the
+  /// resolved pool (inline, one shard after another, when it is serial).
   Result<std::vector<std::vector<Snapshot>>> RetrieveParts(
       const std::vector<Timestamp>& times, unsigned components = kCompAll);
 
@@ -115,14 +114,11 @@ class PartitionedDeltaGraph {
   /// bounded by the deepest traversal, not the sum).
   DeltaGraphStats Stats() const;
 
-  /// Attaches the pool shard plans (and parallel ingest) run on, and forwards
-  /// it to every shard. Same contract as DeltaGraph::SetTaskPool: nullptr
-  /// forces serial, never calling it defaults to TaskPool::Shared().
+  /// Attaches the pool shard plans (and parallel ingest) run on, by
+  /// forwarding it to every shard. Same contract as DeltaGraph::SetTaskPool:
+  /// nullptr forces serial, never calling it defaults to TaskPool::Shared().
+  /// Every shard resolves the same pool (DeltaGraph::ResolveTaskPool).
   void SetTaskPool(TaskPool* pool);
-  TaskPool* task_pool() const { return exec_pool_; }
-  bool task_pool_overridden() const { return exec_pool_set_; }
-  /// The pool retrieval actually uses (nullptr = forced serial).
-  TaskPool* ResolveTaskPool() const;
 
   /// Forwards to every shard. Each shard keeps its distinct I/O lane
   /// (shard index % io->parallelism()), so shard fetch pipelines drain on
@@ -160,8 +156,6 @@ class PartitionedDeltaGraph {
   // multi-store form). Declared before partitions_ so shards die first.
   std::vector<std::unique_ptr<KVStore>> owned_stores_;
   std::vector<std::unique_ptr<DeltaGraph>> partitions_;
-  TaskPool* exec_pool_ = nullptr;  ///< See SetTaskPool.
-  bool exec_pool_set_ = false;     ///< False = default to the lazy shared pool.
 };
 
 }  // namespace hgdb

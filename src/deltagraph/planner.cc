@@ -351,8 +351,12 @@ Result<Plan> Planner::PlanSnapshots(const std::vector<Timestamp>& times,
     std::sort(on_recent.begin(), on_recent.end());
     const double total_bytes = costs_.memory_cost_factor * ctx_.avg_event_bytes *
                                static_cast<double>(ctx_.recent_count);
-    const double span = std::max<double>(
-        1.0, static_cast<double>(ctx_.recent_end - last_boundary));
+    // An empty tail ends at the last boundary. Its recent_end is
+    // kMinTimestamp, and subtracting a boundary from that would overflow.
+    const Timestamp recent_end =
+        ctx_.recent_count == 0 ? last_boundary : ctx_.recent_end;
+    const double span =
+        std::max<double>(1.0, static_cast<double>(recent_end - last_boundary));
     int32_t prev_node = last_leaf;
     Timestamp prev_t = last_boundary;
     for (Timestamp t : on_recent) {
@@ -381,7 +385,7 @@ Result<Plan> Planner::PlanSnapshots(const std::vector<Timestamp>& times,
       tail.lo = prev_t;
       tail.hi = kMaxTimestamp;
       const double frac = std::max(
-          0.0, std::min(1.0, static_cast<double>(ctx_.recent_end - prev_t) / span));
+          0.0, std::min(1.0, static_cast<double>(recent_end - prev_t) / span));
       g.AddEdge(prev_node, current_node, frac * total_bytes, tail);
     }
   }

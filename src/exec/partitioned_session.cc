@@ -7,21 +7,11 @@
 
 namespace hgdb {
 
-namespace {
-
-// Mirrors RetrievalSession's pool resolution, over the partitioned index:
-// honor an explicit pool, honor forced-serial, default to the shared pool.
-TaskPool* ResolvePartitionedPool(PartitionedDeltaGraph* pdg, TaskPool* pool) {
-  if (pool != nullptr) return pool;
-  if (pdg->task_pool() != nullptr) return pdg->task_pool();
-  return pdg->task_pool_overridden() ? &TaskPool::Serial() : &TaskPool::Shared();
-}
-
-}  // namespace
-
 PartitionedRetrievalSession::PartitionedRetrievalSession(PartitionedDeltaGraph* pdg,
                                                          TaskPool* pool)
-    : pdg_(pdg), pool_(ResolvePartitionedPool(pdg, pool)), group_(pool_) {
+    : pdg_(pdg),
+      pool_(pool != nullptr ? pool : pdg->partition(0)->ResolveTaskPool()),
+      group_(pool_) {
   // Trace when globally enabled, or when this session wins the production
   // sampler's draw (see src/obs/sampler.h).
   if (obs::TraceEnabled() || obs::TraceSampler::Global().Sample()) {
@@ -31,7 +21,7 @@ PartitionedRetrievalSession::PartitionedRetrievalSession(PartitionedDeltaGraph* 
   caches_.reserve(pdg_->partition_count());
   for (size_t i = 0; i < pdg_->partition_count(); ++i) {
     caches_.push_back(std::make_unique<ExecFetchCache>());
-    if (pool_->parallelism() >= 2) caches_.back()->SetDecodePool(pool_);
+    caches_.back()->SetDecodePool(pool_);
     if (trace_ != nullptr) {
       // One session-lifetime span per shard: every fetch through the shard's
       // pin — whichever request triggered it — lands here.
@@ -94,7 +84,7 @@ PartitionedRetrievalSession::Request* PartitionedRetrievalSession::Submit(
     // The executor prefetches into the shard's session-wide cache on the
     // shard's own I/O lane; the cache's single-flight slots dedup fetches
     // across requests.
-    req->executors[i] = std::make_unique<ParallelPlanExecutor>(
+    req->executors[i] = std::make_unique<PlanExecutor>(
         shard, frontier, req->components, pool_, caches_[i].get(),
         shard->ResolveIoPool());
     req->executors[i]->SetTrace(obs::TraceCtx{trace_.get(), req->span});

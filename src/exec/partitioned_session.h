@@ -8,7 +8,7 @@
 #include "common/result.h"
 #include "deltagraph/partitioned_delta_graph.h"
 #include "exec/fetch_cache.h"
-#include "exec/parallel_executor.h"
+#include "exec/plan_executor.h"
 #include "exec/task_pool.h"
 #include "graph/snapshot.h"
 
@@ -57,13 +57,13 @@ class PartitionedRetrievalSession {
     // Wait returns). executors[s] is null when shard s took the synchronous
     // replay fallback, whose result then sits in fallbacks[s].
     std::vector<Plan> plans;
-    std::vector<std::unique_ptr<ParallelPlanExecutor>> executors;
+    std::vector<std::unique_ptr<PlanExecutor>> executors;
     std::vector<std::optional<Result<std::vector<Snapshot>>>> fallbacks;
     obs::SpanId span = obs::kNoSpan;  ///< "request" span; closed by Wait.
   };
 
-  /// `pool` defaults to the index's attached pool (which itself defaults to
-  /// TaskPool::Shared()).
+  /// `pool` defaults to the index's resolved pool (every shard resolves the
+  /// same one; see DeltaGraph::ResolveTaskPool).
   explicit PartitionedRetrievalSession(PartitionedDeltaGraph* pdg,
                                        TaskPool* pool = nullptr);
   ~PartitionedRetrievalSession();

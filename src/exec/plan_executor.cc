@@ -1,81 +1,71 @@
-#include "exec/parallel_executor.h"
+#include "exec/plan_executor.h"
 
 #include <chrono>
 #include <utility>
-#include <vector>
 
 #include "exec/prefetcher.h"
 #include "obs/stages.h"
 
 namespace hgdb {
 
-bool PlanHasBranches(const Plan& plan) {
-  if (!plan.root) return false;
-  std::vector<const PlanNode*> stack = {plan.root.get()};
-  while (!stack.empty()) {
-    const PlanNode* n = stack.back();
-    stack.pop_back();
-    if (n->children.size() >= 2) return true;
-    for (const auto& [step, child] : n->children) stack.push_back(child.get());
-  }
-  return false;
-}
-
-ParallelPlanExecutor::ParallelPlanExecutor(const DeltaGraph* dg, FrontierPtr frontier,
-                                           unsigned components, TaskPool* pool,
-                                           ExecFetchCache* shared_cache,
-                                           IoPool* io_pool)
+PlanExecutor::PlanExecutor(const DeltaGraph* dg, FrontierPtr frontier,
+                           unsigned components, TaskPool* pool,
+                           ExecFetchCache* shared_cache, IoPool* io_pool)
     : dg_(dg),
-      frontier_(frontier != nullptr ? std::move(frontier) : dg->PinFrontier()),
+      frontier_(std::move(frontier)),
       components_(components),
       pool_(pool),
       io_pool_(io_pool),
       fetches_(shared_cache != nullptr ? shared_cache : &own_cache_) {
   // Our own cache can offload blob decode to the compute pool (a shared
-  // cache's owner decides for itself); pointless without real parallelism.
-  if (shared_cache == nullptr && pool_ != nullptr && pool_->parallelism() >= 2) {
-    own_cache_.SetDecodePool(pool_);
-  }
+  // cache's owner decides for itself; a serial pool keeps decode inline).
+  own_cache_.SetDecodePool(pool_);
 }
 
-Result<DeltaGraph::SnapshotPlanResults> ParallelPlanExecutor::Run(const Plan& plan) {
+Result<DeltaGraph::SnapshotPlanResults> PlanExecutor::Run(const Plan& plan) {
   TaskGroup group(pool_);
-  Start(plan, &group);
+  // The root runs right here: a linear plan spawns no task.
+  if (Begin(plan)) RunNode(plan.root.get(), Snapshot(), &group);
   group.Wait();
   HG_RETURN_NOT_OK(TakeStatus());
   return TakeResults();
 }
 
-void ParallelPlanExecutor::Start(const Plan& plan, TaskGroup* group) {
+void PlanExecutor::Start(const Plan& plan, TaskGroup* group) {
+  if (!Begin(plan)) return;
+  const PlanNode* root = plan.root.get();
+  group->Spawn([this, root, group] { RunNode(root, Snapshot(), group); });
+}
+
+bool PlanExecutor::Begin(const Plan& plan) {
   if (!plan.root) {
     RecordError(Status::InvalidArgument("plan has no root"));
-    return;
+    return false;
   }
   if (obs::MetricsEnabled()) {
-    // Stage attribution: Start -> the first status collection brackets this
-    // execution (workers run in between); recorded by TakeStatus.
+    // Stage attribution: Begin -> the first status collection brackets this
+    // execution (tasks run in between); recorded by TakeStatus.
     exec_started_ = std::chrono::steady_clock::now();
     exec_timed_ = true;
   }
   if (tc_) {
-    exec_span_ = tc_.trace->BeginSpan("execute.parallel", tc_.span);
+    exec_span_ = tc_.trace->BeginSpan("execute", tc_.span);
     // Nest this execution's fetches under its span — but only through a cache
     // we own; a shared cache already carries its owner's attachment.
     if (fetches_ == &own_cache_) {
       own_cache_.SetTrace(obs::TraceCtx{tc_.trace, exec_span_});
     }
   }
-  // Queue every fetch the plan will perform before the first worker runs;
-  // workers then overlap apply work with the I/O pool's fetches and block
+  // Queue every fetch the plan will perform before the first step runs;
+  // tasks then overlap apply work with the I/O pool's fetches and block
   // only if they outrun it. The fetch cache outlives any still-queued job
   // (its destructor drains), so early errors cannot strand a prefetch.
   StartPlanPrefetch(*dg_, *frontier_->skeleton, plan, components_, fetches_,
                     io_pool_);
-  const PlanNode* root = plan.root.get();
-  group->Spawn([this, root, group] { RunNode(root, Snapshot(), group); });
+  return true;
 }
 
-Status ParallelPlanExecutor::TakeStatus() {
+Status PlanExecutor::TakeStatus() {
   if (exec_timed_) {
     exec_timed_ = false;
     obs::StageExecuteHist().Record(static_cast<uint64_t>(
@@ -95,7 +85,7 @@ Status ParallelPlanExecutor::TakeStatus() {
   return failed_.load(std::memory_order_acquire) ? first_error_ : Status::OK();
 }
 
-void ParallelPlanExecutor::RecordError(Status status) {
+void PlanExecutor::RecordError(Status status) {
   std::lock_guard<std::mutex> lock(err_mu_);
   if (!failed_.load(std::memory_order_acquire)) {
     first_error_ = std::move(status);
@@ -103,17 +93,17 @@ void ParallelPlanExecutor::RecordError(Status status) {
   }
 }
 
-void ParallelPlanExecutor::EmitTime(Timestamp t, Snapshot snap) {
+void PlanExecutor::EmitTime(Timestamp t, Snapshot snap) {
   std::lock_guard<std::mutex> lock(sink_mu_);
   results_.by_time[t] = std::move(snap);
 }
 
-void ParallelPlanExecutor::EmitNode(int32_t node, Snapshot snap) {
+void PlanExecutor::EmitNode(int32_t node, Snapshot snap) {
   std::lock_guard<std::mutex> lock(sink_mu_);
   results_.by_node[node] = std::move(snap);
 }
 
-Status ParallelPlanExecutor::ApplyStepTo(const PlanStep& step, Snapshot* snap) {
+Status PlanExecutor::ApplyStepTo(const PlanStep& step, Snapshot* snap) {
   switch (step.kind) {
     case PlanStep::Kind::kLoadMaterialized: {
       const Snapshot* mat = frontier_->materialized_snapshot(step.node);
@@ -152,29 +142,38 @@ Status ParallelPlanExecutor::ApplyStepTo(const PlanStep& step, Snapshot* snap) {
   return Status::Internal("plan: unknown step kind");
 }
 
-void ParallelPlanExecutor::RunNode(const PlanNode* node, Snapshot working,
-                                   TaskGroup* group) {
-  // Busy-time accounting (trace only): one interval per task invocation,
-  // including time blocked on fetch futures — that is wall time this subtree
-  // occupied a worker, which is what shard-skew comparisons want.
+void PlanExecutor::RunNode(const PlanNode* node, Snapshot working,
+                           TaskGroup* group) {
+  // Busy-time accounting (trace only): one interval per task, including time
+  // blocked on fetch futures — that is wall time this subtree occupied a
+  // thread, which is what shard-skew comparisons want. A sibling that runs
+  // inline inside its parent's task (serial pool) is already inside the
+  // parent's interval, so only the outermost task of this executor on a
+  // thread is timed.
+  static thread_local const PlanExecutor* timing = nullptr;
   struct BusyTimer {
-    explicit BusyTimer(ParallelPlanExecutor* e) : exec(e), on(bool(e->tc_)) {
-      if (on) {
-        exec->task_count_.fetch_add(1, std::memory_order_relaxed);
+    explicit BusyTimer(PlanExecutor* e) : exec(e), on(bool(e->tc_)) {
+      if (!on) return;
+      exec->task_count_.fetch_add(1, std::memory_order_relaxed);
+      timed = timing != exec;
+      if (timed) {
+        outer = std::exchange(timing, exec);
         start = std::chrono::steady_clock::now();
       }
     }
     ~BusyTimer() {
-      if (on) {
-        exec->busy_ns_.fetch_add(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count(),
-            std::memory_order_relaxed);
-      }
+      if (!on || !timed) return;
+      timing = outer;
+      exec->busy_ns_.fetch_add(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count(),
+          std::memory_order_relaxed);
     }
-    ParallelPlanExecutor* exec;
+    PlanExecutor* exec;
     bool on;
+    bool timed = false;
+    const PlanExecutor* outer = nullptr;  ///< Timed executor this task nests in.
     std::chrono::steady_clock::time_point start;
   } busy_timer(this);
 

@@ -49,7 +49,11 @@ void StartPlanPrefetch(const DeltaGraph& dg, const Skeleton& skel, const Plan& p
 void StartCollectedPrefetch(const DeltaGraph& dg, const Skeleton& skel,
                             const std::vector<PlanFetch>& fetches,
                             unsigned components, ExecFetchCache* cache, IoPool* io) {
-  if (io == nullptr || cache == nullptr) return;
+  // Fewer than two fetches leave nothing to overlap: the executor blocks on
+  // the first fetch either way, so it fetches on demand without the queue
+  // and its synchronization (e.g. a singlepoint query served from a
+  // materialized node).
+  if (io == nullptr || cache == nullptr || fetches.size() < 2) return;
   // Fetches are queued per I/O shard and each shard wakeup drains its whole
   // queue into one DeltaStore::GetBatch (one storage round-trip per *batch*):
   // all the fetches that pile up while a shard sleeps through a simulated

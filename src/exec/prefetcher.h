@@ -27,9 +27,11 @@ struct PlanFetch {
 std::vector<PlanFetch> CollectPlanFetches(const Plan& plan);
 
 /// Issues an asynchronous fetch into `cache` for every edge `plan` touches,
-/// sharded across `io`'s threads by delta id. Edges are resolved against
-/// `skel` — the *pinned frontier's* skeleton, which the plan was built from —
-/// never the live one, so a concurrent leaf cut cannot skew a fetch. Returns
+/// sharded across `io`'s threads by delta id. A plan with fewer than two
+/// fetches is not prefetched: there is nothing to overlap its one fetch
+/// with. Edges are resolved against `skel` — the *pinned frontier's*
+/// skeleton, which the plan was built from — never the live one, so a
+/// concurrent leaf cut cannot skew a fetch. Returns
 /// immediately: workers that reach an edge before its fetch lands block on
 /// the cache's future (they only ever wait if they outrun the prefetcher).
 /// The jobs reference `dg` and `cache`, which must stay alive until the
@@ -38,8 +40,7 @@ std::vector<PlanFetch> CollectPlanFetches(const Plan& plan);
 void StartPlanPrefetch(const DeltaGraph& dg, const Skeleton& skel, const Plan& plan,
                        unsigned components, ExecFetchCache* cache, IoPool* io);
 
-/// Same, over an already-collected fetch list (callers that pre-scan
-/// themselves, e.g. to skip prefetch for trivially small plans).
+/// Same, over an already-collected fetch list.
 void StartCollectedPrefetch(const DeltaGraph& dg, const Skeleton& skel,
                             const std::vector<PlanFetch>& fetches,
                             unsigned components, ExecFetchCache* cache, IoPool* io);

@@ -5,23 +5,11 @@
 
 namespace hgdb {
 
-namespace {
-
-// Default pool resolution mirrors DeltaGraph::ExecuteSnapshotPlan: honor an
-// explicitly attached pool, honor forced-serial (SetTaskPool(nullptr) /
-// exec_parallelism=1) with the inline pool, and only fall back to the shared
-// pool when the index was never configured.
-TaskPool* ResolveSessionPool(DeltaGraph* dg, TaskPool* pool) {
-  if (pool != nullptr) return pool;
-  if (dg->task_pool() != nullptr) return dg->task_pool();
-  return dg->task_pool_overridden() ? &TaskPool::Serial() : &TaskPool::Shared();
-}
-
-}  // namespace
-
 RetrievalSession::RetrievalSession(DeltaGraph* dg, TaskPool* pool)
-    : dg_(dg), pool_(ResolveSessionPool(dg, pool)), group_(pool_) {
-  if (pool_->parallelism() >= 2) fetches_.SetDecodePool(pool_);
+    : dg_(dg),
+      pool_(pool != nullptr ? pool : dg->ResolveTaskPool()),
+      group_(pool_) {
+  fetches_.SetDecodePool(pool_);
   // Trace when globally enabled, or when this session wins the production
   // sampler's draw (1-in-N / tail-armed; see src/obs/sampler.h) — sampled
   // traces land in the flight recorder when the session finishes.
@@ -74,7 +62,7 @@ RetrievalSession::Request* RetrievalSession::Submit(std::vector<Timestamp> times
                     static_cast<int64_t>(req->plan.StepCount()));
     trace_->SetAttr(req->span, "est_cost_bytes", req->plan.estimated_cost);
   }
-  req->executor = std::make_unique<ParallelPlanExecutor>(
+  req->executor = std::make_unique<PlanExecutor>(
       dg_, req->frontier, req->components, pool_, &fetches_, dg_->ResolveIoPool());
   req->executor->SetTrace(obs::TraceCtx{trace_.get(), req->span});
   req->executor->Start(req->plan, &group_);

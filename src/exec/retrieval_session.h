@@ -7,7 +7,7 @@
 #include "common/result.h"
 #include "deltagraph/delta_graph.h"
 #include "exec/fetch_cache.h"
-#include "exec/parallel_executor.h"
+#include "exec/plan_executor.h"
 #include "exec/task_pool.h"
 #include "graph/snapshot.h"
 
@@ -55,7 +55,7 @@ class RetrievalSession {
     FrontierPtr frontier;
 
     Plan plan;  // Owned here: executors reference it until Wait returns.
-    std::unique_ptr<ParallelPlanExecutor> executor;
+    std::unique_ptr<PlanExecutor> executor;
     obs::SpanId span = obs::kNoSpan;  ///< "request" span; closed by Wait.
 
     /// Epoch of the pinned frontier (0 before Submit resolved it).
@@ -64,8 +64,8 @@ class RetrievalSession {
     }
   };
 
-  /// `pool` defaults to the DeltaGraph's attached pool (which itself
-  /// defaults to TaskPool::Shared()). Prefetch runs on the DeltaGraph's
+  /// `pool` defaults to the DeltaGraph's resolved pool
+  /// (DeltaGraph::ResolveTaskPool). Prefetch runs on the DeltaGraph's
   /// resolved I/O pool (SetIoPool / HISTGRAPH_IO_THREADS); each Submit
   /// queues its plan's fetches before execution starts, so requests share
   /// both the fetch pin and the prefetch pipeline.

@@ -285,7 +285,7 @@ class Snapshot {
   // no-op writes never break sharing.
   //
   // The acquire fence is what lets snapshots that share stores be mutated
-  // from different threads (the parallel executor's fork model): use_count()
+  // from different threads (the plan executor's fork model): use_count()
   // is a relaxed load, so observing 1 does not by itself synchronize with
   // the other thread's release-decrement of the refcount. The fence pairs
   // with that release, ordering the releasing thread's reads of the store

@@ -1,20 +1,22 @@
-// Tests for the parallel plan-execution subsystem (src/exec/): TaskPool
-// semantics, executor determinism against the serial visitor across seeds and
-// thread counts, batched RetrievalSessions, and concurrent-retrieval stress
-// (the latter two double as the ThreadSanitizer workload in CI).
+// Tests for the plan-execution subsystem (src/exec/): TaskPool semantics,
+// executor results against the naive replay oracle across seeds and pool
+// sizes, batched RetrievalSessions, and concurrent-retrieval stress (the
+// latter two double as the ThreadSanitizer workload in CI).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <unordered_set>
 
 #include "deltagraph/delta_graph.h"
 #include "exec/io_pool.h"
-#include "exec/parallel_executor.h"
 #include "exec/prefetcher.h"
 #include "exec/retrieval_session.h"
 #include "exec/task_pool.h"
+#include "obs/trace.h"
+#include "tests/test_oracle.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 #include "workload/trace_world.h"
@@ -82,7 +84,7 @@ TEST(TaskPoolTest, WaitIsReusable) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor determinism: parallel == serial, element for element
+// Executor results == naive replay, element for element, at every pool size
 // ---------------------------------------------------------------------------
 
 struct BuiltIndex {
@@ -122,7 +124,7 @@ BuiltIndex BuildRandomIndex(uint64_t seed, size_t num_events,
   return built;
 }
 
-TEST(ParallelExecutorTest, MatchesSerialAcrossSeedsAndThreadCounts) {
+TEST(PlanExecutorTest, MatchesReplayAcrossSeedsAndPools) {
   TaskPool pool2(2), pool8(8);
   for (uint64_t seed : {11u, 1234u, 990017u}) {
     BuiltIndex built = BuildRandomIndex(seed, 3000, /*post_finalize_events=*/150);
@@ -130,73 +132,100 @@ TEST(ParallelExecutorTest, MatchesSerialAcrossSeedsAndThreadCounts) {
     for (unsigned components : {unsigned{kCompAll}, unsigned{kCompStruct}}) {
       for (int k : {2, 5, 9}) {
         const std::vector<Timestamp> times = test::RandomTimes(rng, built.events, k);
-
-        built.dg->SetTaskPool(nullptr);  // Serial baseline.
-        auto serial = built.dg->GetSnapshots(times, components);
-        ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-        for (TaskPool* pool : {&pool2, &pool8}) {
+        for (TaskPool* pool : {&TaskPool::Serial(), &pool2, &pool8}) {
           built.dg->SetTaskPool(pool);
-          auto parallel = built.dg->GetSnapshots(times, components);
-          ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-          ASSERT_EQ(parallel.value().size(), serial.value().size());
+          auto got = built.dg->GetSnapshots(times, components);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_EQ(got.value().size(), times.size());
           for (size_t i = 0; i < times.size(); ++i) {
-            EXPECT_TRUE(parallel.value()[i].Equals(serial.value()[i]))
+            EXPECT_TRUE(test::NaiveReplayOracle::At(built.events, times[i], components)
+                            .Matches(got.value()[i]))
                 << "seed=" << seed << " threads=" << pool->parallelism()
-                << " components=" << components << " t=" << times[i] << "\n"
-                << parallel.value()[i].DiffString(serial.value()[i]);
+                << " components=" << components << " t=" << times[i];
           }
         }
-        // A parallelism-1 pool must take the serial path (and agree).
-        TaskPool pool1(1);
-        built.dg->SetTaskPool(&pool1);
-        auto one = built.dg->GetSnapshots(times, components);
-        ASSERT_TRUE(one.ok());
-        for (size_t i = 0; i < times.size(); ++i) {
-          EXPECT_TRUE(one.value()[i].Equals(serial.value()[i]));
-        }
-        built.dg->SetTaskPool(nullptr);
       }
-    }
-    // Ground truth once per seed: the parallel result equals exact replay.
-    TaskPool pool4(4);
-    built.dg->SetTaskPool(&pool4);
-    const std::vector<Timestamp> times = test::RandomTimes(rng, built.events, 6);
-    auto snaps = built.dg->GetSnapshots(times, kCompAll);
-    ASSERT_TRUE(snaps.ok());
-    for (size_t i = 0; i < times.size(); ++i) {
-      Snapshot expected = ReplayAt(built.events, times[i]);
-      EXPECT_TRUE(snaps.value()[i].Equals(expected))
-          << "t=" << times[i] << "\n" << snaps.value()[i].DiffString(expected);
     }
   }
 }
 
-TEST(ParallelExecutorTest, MaterializedStartsMatchSerial) {
+TEST(PlanExecutorTest, MaterializedStartsMatchReplay) {
   BuiltIndex built = BuildRandomIndex(77, 2500);
   ASSERT_TRUE(built.dg->MaterializeDepth(1).ok());
   test::SeededRng rng(99);
   const std::vector<Timestamp> times = test::RandomTimes(rng, built.events, 7);
 
-  built.dg->SetTaskPool(nullptr);
-  auto serial = built.dg->GetSnapshots(times, kCompAll);
-  ASSERT_TRUE(serial.ok());
-
-  TaskPool pool4(4);
-  built.dg->SetTaskPool(&pool4);
-  auto parallel = built.dg->GetSnapshots(times, kCompAll);
-  ASSERT_TRUE(parallel.ok());
-  for (size_t i = 0; i < times.size(); ++i) {
-    EXPECT_TRUE(parallel.value()[i].Equals(serial.value()[i]))
-        << parallel.value()[i].DiffString(serial.value()[i]);
+  TaskPool pool2(2), pool8(8);
+  for (TaskPool* pool : {&TaskPool::Serial(), &pool2, &pool8}) {
+    built.dg->SetTaskPool(pool);
+    auto got = built.dg->GetSnapshots(times, kCompAll);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    for (size_t i = 0; i < times.size(); ++i) {
+      EXPECT_TRUE(test::NaiveReplayOracle::At(built.events, times[i], kCompAll)
+                      .Matches(got.value()[i]))
+          << "threads=" << pool->parallelism() << " t=" << times[i];
+    }
   }
 }
 
-TEST(ParallelExecutorTest, PlanHasBranchesDetectsLinearChains) {
-  BuiltIndex built = BuildRandomIndex(5, 1500);
-  auto single = built.dg->PlanFor({built.events.back().time / 2});
-  ASSERT_TRUE(single.ok());
-  EXPECT_FALSE(PlanHasBranches(single.value()));  // Singlepoint = linear.
+// The one "execute" span of a traced query.
+obs::QueryTrace::Span ExecuteSpan(const obs::QueryTrace& trace) {
+  obs::QueryTrace::Span found;
+  size_t count = 0;
+  for (const auto& span : trace.Spans()) {
+    if (span.name != "execute") continue;
+    found = span;
+    ++count;
+  }
+  EXPECT_EQ(count, 1u);
+  return found;
+}
+
+int64_t IntAttr(const obs::QueryTrace::Span& span, const std::string& key) {
+  for (const auto& [k, v] : span.attrs) {
+    if (k == key) return std::get<int64_t>(v);
+  }
+  ADD_FAILURE() << "span " << span.name << " has no attribute " << key;
+  return -1;
+}
+
+// A linear plan (every singlepoint query) runs as one task on the calling
+// thread, whatever the pool offers: the walk starts inline and has no
+// siblings to spawn.
+TEST(PlanExecutorTest, LinearPlanRunsAsOneTask) {
+  BuiltIndex built = BuildRandomIndex(5, 1500, /*post_finalize_events=*/40);
+  TaskPool pool8(8);
+  built.dg->SetTaskPool(&pool8);
+  const Timestamp t = built.events[built.events.size() / 2].time;
+
+  obs::QueryTrace trace;
+  auto got = built.dg->GetSnapshots({t}, kCompAll, obs::TraceCtx{&trace, obs::kNoSpan});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  trace.Finish();
+  EXPECT_TRUE(test::NaiveReplayOracle::At(built.events, t, kCompAll).Matches(got.value()[0]));
+  EXPECT_EQ(IntAttr(ExecuteSpan(trace), "tasks"), 1);
+}
+
+// On the inline pool every sibling task runs nested inside its parent's
+// task, on the same thread. Busy time counts that thread-interval once, so
+// it stays within the execute span's wall time.
+TEST(PlanExecutorTest, InlineSiblingsAreTimedOnce) {
+  BuiltIndex built = BuildRandomIndex(5, 3000);
+  built.dg->SetTaskPool(&TaskPool::Serial());
+  // Far apart, so the plan descends to each from the root: three subtrees
+  // of comparable work.
+  std::vector<Timestamp> times;
+  for (size_t twentieth : {1, 10, 19}) {
+    times.push_back(built.events[built.events.size() * twentieth / 20].time);
+  }
+
+  obs::QueryTrace trace;
+  ASSERT_TRUE(
+      built.dg->GetSnapshots(times, kCompAll, obs::TraceCtx{&trace, obs::kNoSpan}).ok());
+  trace.Finish();
+  const obs::QueryTrace::Span exec = ExecuteSpan(trace);
+  EXPECT_GT(IntAttr(exec, "tasks"), 1) << "plan never branched; test is vacuous";
+  EXPECT_LE(IntAttr(exec, "busy_us"), (exec.end_ns - exec.start_ns) / 1000 + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@
 #include "deltagraph/partitioned_delta_graph.h"
 #include "exec/fetch_cache.h"
 #include "exec/io_pool.h"
+#include "exec/plan_executor.h"
 #include "exec/prefetcher.h"
 #include "exec/retrieval_session.h"
 #include "kvstore/kv_store.h"
@@ -490,13 +491,16 @@ TEST(TraceTest, PrefetchCoverageIsFullOnPrefetchedPinnedPlan) {
   const obs::TraceCtx tc{&trace, obs::kNoSpan};
   {
     // Prefetch the whole plan and wait for it to land before executing: every
-    // fetch the visitor performs is then served by the prefetched pin, so
+    // fetch the executor performs is then served by the prefetched pin, so
     // coverage is exactly 1.0 (no scheduling race to tolerate).
     ExecFetchCache cache;
     cache.SetTrace(tc);
     StartCollectedPrefetch(*dg, dg->skeleton(), fetches, kCompAll, &cache, &io);
     cache.WaitPrefetchesIdle();
-    auto results = dg->ExecutePlanPinned(plan.value(), kCompAll, &cache, tc);
+    PlanExecutor executor(dg.get(), dg->PinFrontier(), kCompAll, &TaskPool::Serial(),
+                          &cache);
+    executor.SetTrace(tc);
+    auto results = executor.Run(plan.value());
     ASSERT_TRUE(results.ok());
   }
   trace.Finish();
@@ -533,7 +537,7 @@ TEST(TraceTest, SessionLastTraceCarriesRequestSpans) {
       ++request_spans;
       EXPECT_GE(span.end_ns, span.start_ns) << "request span left open";
     }
-    if (span.name.rfind("execute.", 0) == 0) saw_execute = true;
+    if (span.name == "execute") saw_execute = true;
   }
   EXPECT_EQ(request_spans, 2u);
   EXPECT_TRUE(saw_execute);

@@ -1,9 +1,9 @@
 // Randomized replay-oracle harness: ~50 seeded random workloads (interleaved
 // appends and finalizes, equal-time runs, attribute churn, deletes, random
 // leaf sizes / arities / differential functions, optional materialized
-// starts) are indexed into a DeltaGraph, and every retrieval path — serial
-// visitor, parallel executor at 2 and 8 threads, each with prefetching on and
-// off, across component subsets — is checked element-for-element against a
+// starts) are indexed into a DeltaGraph, and every retrieval path — the plan
+// executor inline and at 2 and 8 threads, each with prefetching on and off,
+// across component subsets — is checked element-for-element against a
 // NaiveReplayOracle that rebuilds each requested snapshot by replaying the
 // full event log into plain std containers (tests/test_oracle.h). This is
 // the safety net for the chunked-overlay COW stores: aliasing bugs between

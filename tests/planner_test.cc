@@ -262,6 +262,27 @@ TEST_F(PlannerFixture, RecentEventsChainBeyondLastLeaf) {
   EXPECT_EQ(steps.back().kind, PlanStep::Kind::kApplyRecentEvents);
 }
 
+// A current graph over an empty recent tail: the context's recent_end is
+// kMinTimestamp while the last boundary is 40. Costing the (empty) chain from
+// the last leaf to the current graph must not subtract across that gap (a
+// signed overflow, fatal under -fsanitize=undefined -fno-sanitize-recover).
+TEST_F(PlannerFixture, EmptyRecentTailBesideCurrentGraph) {
+  PlannerContext ctx = Ctx();
+  ctx.recent_count = 0;
+  ctx.recent_end = kMinTimestamp;
+  ctx.has_current = true;
+  ctx.current_elements = 100;
+  Planner planner(ctx);
+  auto plan = planner.PlanSnapshots({45}, kCompStruct);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto steps = LinearSteps(plan.value());
+  ASSERT_FALSE(steps.empty());
+  // The empty tail costs nothing to cross, so loading the current graph
+  // (0.05 * 24 * 100 = 120) beats the descent to L3 (350 + 3 * 64).
+  EXPECT_EQ(steps.front().kind, PlanStep::Kind::kLoadCurrent);
+  EXPECT_NEAR(plan.value().estimated_cost, 120.0, 1.0);
+}
+
 TEST_F(PlannerFixture, CachedSinglepointMatchesUncachedCost) {
   Planner planner(Ctx());
   SsspCache cache;
