@@ -38,11 +38,11 @@ class IoPool;    // src/exec/io_pool.h
 /// co-located with their endpoints — nothing in the element-wise delta
 /// machinery needs them to be.
 ///
-/// Retrieval runs every shard's plan concurrently: multipoint queries plan
-/// one Steiner tree per shard, issue every shard's prefetch batch up front
-/// (each on the shard's own I/O lane, so the per-shard fetch pipelines
-/// overlap in flight), then execute all shard plans as sibling task trees on
-/// one shared work-stealing TaskPool.
+/// Retrieval goes through RetrievalSession, the one session for any shard
+/// count: it plans one Steiner tree per shard, issues every shard's prefetch
+/// batch up front (each on the shard's own I/O lane, so the per-shard fetch
+/// pipelines overlap in flight), then executes all shard plans as sibling
+/// task trees on one shared work-stealing TaskPool.
 class PartitionedDeltaGraph {
  public:
   /// One store per partition; all partitions share the same options. Stores
@@ -82,32 +82,23 @@ class PartitionedDeltaGraph {
   /// Finalizes every shard, in parallel on the attached pool.
   Status Finalize();
 
-  /// Retrieves the merged snapshot as of `t`.
+  /// One-request RetrievalSessions over every shard (src/exec/
+  /// retrieval_session.h): each shard plans one Steiner tree for all the
+  /// time points, every shard's prefetch is queued before any shard
+  /// executes, and the per-shard pieces merge per time point.
+  ///
+  /// The merged snapshot as of `t`.
   Result<Snapshot> GetSnapshot(Timestamp t, unsigned components = kCompAll);
 
-  /// Per-partition retrieval without merging (a distributed compute engine
-  /// keeps partitions separate; see the compute module).
+  /// The per-shard pieces of the snapshot as of `t`, unmerged (a distributed
+  /// compute engine keeps partitions separate; see
+  /// GraphPool::OverlayHistoricalParts).
   Result<std::vector<Snapshot>> GetSnapshotParts(Timestamp t,
                                                  unsigned components = kCompAll);
 
-  /// Multipoint retrieval: each shard plans one Steiner tree for all the
-  /// time points; shards run concurrently and results are merged per time
-  /// point. Snapshots are returned in the order of `times`.
+  /// Multipoint retrieval; snapshots are returned in the order of `times`.
   Result<std::vector<Snapshot>> GetSnapshots(const std::vector<Timestamp>& times,
                                              unsigned components = kCompAll);
-
-  /// The unmerged core of GetSnapshots: `result[shard][i]` is shard `shard`'s
-  /// piece of the snapshot at `times[i]`. Plans every shard, issues all
-  /// shards' prefetches up front, then runs one task tree per shard on the
-  /// resolved pool (inline, one shard after another, when it is serial).
-  Result<std::vector<std::vector<Snapshot>>> RetrieveParts(
-      const std::vector<Timestamp>& times, unsigned components = kCompAll);
-
-  /// RetrieveParts under an externally owned trace: one "shard" span per
-  /// shard plan (carrying that shard's fetches), plus per-shard busy-time
-  /// skew attributes on the enclosing "retrieve" span.
-  Result<std::vector<std::vector<Snapshot>>> RetrieveParts(
-      const std::vector<Timestamp>& times, unsigned components, obs::TraceCtx tc);
 
   /// Index-shape statistics aggregated across every shard: counts and byte
   /// totals are summed; `height` is the tallest shard's (retrieval cost is
@@ -131,18 +122,6 @@ class PartitionedDeltaGraph {
   size_t partition_count() const { return partitions_.size(); }
   DeltaGraph* partition(size_t i) { return partitions_[i].get(); }
   const DeltaGraph* partition(size_t i) const { return partitions_[i].get(); }
-
-  /// Pins one cross-shard frontier: every shard's published state, read in
-  /// one sweep. Shards publish independently, so the vector is the sharded
-  /// analogue of one DeltaGraph::PinFrontier() — a query that resolves all
-  /// its shard reads against this vector sees a consistent, immutable view
-  /// even while the writer keeps appending.
-  std::vector<FrontierPtr> PinFrontiers() const {
-    std::vector<FrontierPtr> out;
-    out.reserve(partitions_.size());
-    for (const auto& p : partitions_) out.push_back(p->PinFrontier());
-    return out;
-  }
 
  private:
   PartitionedDeltaGraph(std::vector<std::unique_ptr<DeltaGraph>> parts,

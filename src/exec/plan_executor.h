@@ -18,7 +18,7 @@ class IoPool;
 
 /// \brief Executes a snapshot retrieval plan: the one executor every
 /// retrieval path (GetSnapshots, materialization, Open's current-graph
-/// rebuild, sessions and the sharded index) runs its plans through.
+/// rebuild, and RetrievalSession at any shard count) runs its plans through.
 ///
 /// The executor walks the plan by *forking*: at a branch node it copies the
 /// working snapshot — an O(1) copy-on-write share — applies each child's step
@@ -56,10 +56,10 @@ class PlanExecutor {
   /// they finish.
   Result<DeltaGraph::SnapshotPlanResults> Run(const Plan& plan);
 
-  /// Asynchronous form for sessions and the sharded index: schedules the
-  /// plan's root into `group` (the caller later waits on the group, then
-  /// collects TakeStatus / TakeResults). `plan` and the executor must outlive
-  /// the group's Wait.
+  /// Asynchronous form for RetrievalSession, one executor per shard:
+  /// schedules the plan's root into `group` (the caller later waits on the
+  /// group, then collects TakeStatus / TakeResults). `plan` and the
+  /// executor must outlive the group's Wait.
   void Start(const Plan& plan, TaskGroup* group);
 
   Status TakeStatus();

@@ -68,7 +68,8 @@ class GraphPool {
   Result<PoolGraphId> OverlayHistorical(const Snapshot& g);
 
   /// Overlays one historical graph supplied as disjoint per-shard pieces (a
-  /// PartitionedDeltaGraph's GetSnapshotParts output) under a *single* pool
+  /// PartitionedDeltaGraph's GetSnapshotParts output, or one time point of a
+  /// RetrievalSession request's `parts`) under a *single* pool
   /// id, without first merging the pieces into one Snapshot. Pieces must be
   /// element-disjoint; each piece's edge attributes must reference edges of
   /// the same piece (shard routing co-locates an edge with its attributes).

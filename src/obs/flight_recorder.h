@@ -23,7 +23,7 @@ struct FlightEntry {
   double total_us = 0;     ///< End-to-end latency.
   uint64_t epoch = 0;      ///< Pinned frontier epoch.
   uint64_t event_count = 0;
-  double shard_skew = 0;   ///< 0 = not a sharded query.
+  double shard_skew = 0;   ///< Sessions: max request skew; 0 = none recorded.
   double prefetch_coverage = 1.0;
   uint64_t fetches_total = 0;
   uint64_t kv_reads = 0;

@@ -29,12 +29,14 @@ namespace obs {
 /// granularity — dozens per query, not millions); the high-frequency tallies
 /// (fetch counts, LRU hits, bytes) are relaxed atomics updated lock-free.
 ///
-/// Tracing is enabled per-session: `RetrievalSession`/`Partitioned-
-/// RetrievalSession` (and the one-shot DeltaGraph::GetSnapshots entry points)
-/// allocate a QueryTrace when `TraceEnabled()` — set by HISTGRAPH_TRACE=1 or
-/// programmatically. When HISTGRAPH_TRACE is set the finished trace is also
-/// dumped as JSON to stderr (or to the file named by HISTGRAPH_TRACE_OUT);
-/// with programmatic enable the caller reads `session->LastTrace()` instead.
+/// Tracing is enabled per-session: `RetrievalSession` (at any shard count,
+/// so also PartitionedDeltaGraph's retrieval entry points) and the one-shot
+/// DeltaGraph::GetSnapshots allocate a QueryTrace when `TraceEnabled()` — set
+/// by HISTGRAPH_TRACE=1 or programmatically — or when the query wins the
+/// TraceSampler's draw (sampler.h). When HISTGRAPH_TRACE is set the finished
+/// trace is also dumped as JSON to stderr (or to the file named by
+/// HISTGRAPH_TRACE_OUT); with programmatic enable the caller reads
+/// `session->LastTrace()` instead.
 
 class QueryTrace;
 

@@ -1,7 +1,8 @@
 // Tests for the plan-execution subsystem (src/exec/): TaskPool semantics,
 // executor results against the naive replay oracle across seeds and pool
-// sizes, batched RetrievalSessions, and concurrent-retrieval stress (the
-// latter two double as the ThreadSanitizer workload in CI).
+// sizes, batched RetrievalSessions at one shard and at three, and
+// concurrent-retrieval stress (the latter two double as the ThreadSanitizer
+// workload in CI).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <unordered_set>
 
 #include "deltagraph/delta_graph.h"
+#include "deltagraph/partitioned_delta_graph.h"
 #include "exec/io_pool.h"
 #include "exec/prefetcher.h"
 #include "exec/retrieval_session.h"
@@ -122,6 +124,84 @@ BuiltIndex BuildRandomIndex(uint64_t seed, size_t num_events,
   }
   built.events = std::move(trace.events);
   return built;
+}
+
+// BuildRandomIndex at a chosen shard count: one shard is a plain DeltaGraph,
+// more give a PartitionedDeltaGraph over the same log and options. Sessions
+// take either, so session tests run both through the same assertions.
+struct ShardedIndex {
+  std::vector<std::unique_ptr<KVStore>> stores;
+  std::unique_ptr<DeltaGraph> dg;              // shards == 1
+  std::unique_ptr<PartitionedDeltaGraph> pdg;  // shards > 1
+  std::vector<Event> events;
+
+  std::unique_ptr<RetrievalSession> NewSession(TaskPool* pool) const {
+    if (dg != nullptr) return std::make_unique<RetrievalSession>(dg.get(), pool);
+    return std::make_unique<RetrievalSession>(pdg.get(), pool);
+  }
+  Result<std::vector<Snapshot>> GetSnapshots(const std::vector<Timestamp>& times,
+                                             unsigned components) {
+    return dg != nullptr ? dg->GetSnapshots(times, components)
+                         : pdg->GetSnapshots(times, components);
+  }
+  void SetTaskPool(TaskPool* pool) {
+    dg != nullptr ? dg->SetTaskPool(pool) : pdg->SetTaskPool(pool);
+  }
+  void SetIoPool(IoPool* io) {
+    dg != nullptr ? dg->SetIoPool(io) : pdg->SetIoPool(io);
+  }
+  void SetDecodedCacheCapacity(size_t entries) {
+    dg != nullptr ? dg->SetDecodedCacheCapacity(entries)
+                  : pdg->SetDecodedCacheCapacity(entries);
+  }
+};
+
+/// `finalize` false leaves every event (up to 10000) in the recent
+/// eventlists, with no skeleton, so sessions take the replay fallback on
+/// every shard.
+ShardedIndex BuildShardedIndex(size_t shards, uint64_t seed, size_t num_events,
+                               size_t post_finalize_events = 0,
+                               const KVStoreOptions& kv_opts = {},
+                               bool finalize = true) {
+  RandomTraceOptions topts;
+  topts.num_events = num_events + post_finalize_events;
+  topts.seed = seed;
+  GeneratedTrace trace = GenerateRandomTrace(topts);
+
+  ShardedIndex index;
+  std::vector<KVStore*> ptrs;
+  for (size_t i = 0; i < shards; ++i) {
+    index.stores.push_back(NewMemKVStore(kv_opts));
+    ptrs.push_back(index.stores.back().get());
+  }
+  DeltaGraphOptions opts;
+  opts.leaf_size = finalize ? std::max<size_t>(50, num_events / 24) : 10000;
+  opts.arity = 2;
+  opts.functions = {"intersection"};
+  const std::vector<Event> indexed(trace.events.begin(),
+                                   trace.events.begin() + num_events);
+  const std::vector<Event> tail(trace.events.begin() + num_events,
+                                trace.events.end());
+  auto ingest = [&](auto* engine) {
+    EXPECT_TRUE(engine->AppendAll(indexed).ok());
+    if (finalize) {
+      EXPECT_TRUE(engine->Finalize().ok());
+    }
+    EXPECT_TRUE(engine->AppendAll(tail).ok());
+  };
+  if (shards == 1) {
+    auto dg = DeltaGraph::Create(ptrs[0], opts);
+    EXPECT_TRUE(dg.ok());
+    index.dg = std::move(dg).value();
+    ingest(index.dg.get());
+  } else {
+    auto pdg = PartitionedDeltaGraph::Create(ptrs, opts);
+    EXPECT_TRUE(pdg.ok());
+    index.pdg = std::move(pdg).value();
+    ingest(index.pdg.get());
+  }
+  index.events = std::move(trace.events);
+  return index;
 }
 
 TEST(PlanExecutorTest, MatchesReplayAcrossSeedsAndPools) {
@@ -288,33 +368,41 @@ TEST(PrefetchTest, PrefetchOnOffSerialParallelLatencyAllAgree) {
   }
 }
 
-// Sessions share one prefetched fetch pin across requests; results must match
-// per-request direct retrieval with prefetching disabled.
+// Sessions share one prefetched fetch pin per shard across requests; results
+// must match the replay oracle and per-request blocking retrieval (no
+// prefetch, serial pool), at one shard and at three.
 TEST(PrefetchTest, SessionWithPrefetchMatchesBlockingRetrieval) {
   KVStoreOptions kv;
   kv.read_latency_us = 50;
-  BuiltIndex built = BuildRandomIndex(777, 2000, /*post_finalize_events=*/80, kv);
-  built.dg->SetDecodedCacheCapacity(0);
-  test::SeededRng rng(23);
-  std::vector<std::vector<Timestamp>> batches;
-  for (int i = 0; i < 4; ++i) batches.push_back(test::RandomTimes(rng, built.events, 4));
+  for (size_t shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedIndex index =
+        BuildShardedIndex(shards, 777, 2000, /*post_finalize_events=*/80, kv);
+    index.SetDecodedCacheCapacity(0);
+    test::SeededRng rng(23);
+    std::vector<std::vector<Timestamp>> batches;
+    for (int i = 0; i < 4; ++i) batches.push_back(test::RandomTimes(rng, index.events, 4));
 
-  TaskPool pool(4);
-  IoPool io(2);
-  built.dg->SetIoPool(&io);
-  RetrievalSession session(built.dg.get(), &pool);
-  std::vector<RetrievalSession::Request*> tickets;
-  for (const auto& b : batches) tickets.push_back(session.Submit(b));
-  ASSERT_TRUE(session.Wait().ok());
+    TaskPool pool(4);
+    IoPool io(2);
+    index.SetIoPool(&io);
+    auto session = index.NewSession(&pool);
+    std::vector<RetrievalSession::Request*> tickets;
+    for (const auto& b : batches) tickets.push_back(session->Submit(b));
+    ASSERT_TRUE(session->Wait().ok());
 
-  built.dg->SetTaskPool(nullptr);
-  built.dg->SetIoPool(nullptr);
-  for (size_t i = 0; i < batches.size(); ++i) {
-    auto expect = built.dg->GetSnapshots(batches[i], kCompAll);
-    ASSERT_TRUE(expect.ok());
-    for (size_t j = 0; j < batches[i].size(); ++j) {
-      EXPECT_TRUE(tickets[i]->result.value()[j].Equals(expect.value()[j]))
-          << "request " << i << " time index " << j;
+    index.SetTaskPool(nullptr);
+    index.SetIoPool(nullptr);
+    for (size_t i = 0; i < batches.size(); ++i) {
+      auto expect = index.GetSnapshots(batches[i], kCompAll);
+      ASSERT_TRUE(expect.ok());
+      for (size_t j = 0; j < batches[i].size(); ++j) {
+        auto oracle = test::NaiveReplayOracle::At(index.events, batches[i][j], kCompAll);
+        EXPECT_TRUE(oracle.Matches(tickets[i]->result.value()[j]))
+            << "request " << i << " time index " << j;
+        EXPECT_TRUE(tickets[i]->result.value()[j].Equals(expect.value()[j]))
+            << "request " << i << " time index " << j;
+      }
     }
   }
 }
@@ -329,54 +417,59 @@ unsigned i_th_components(size_t i) {
 }
 
 TEST(RetrievalSessionTest, BatchedRequestsMatchDirectRetrieval) {
-  BuiltIndex built = BuildRandomIndex(321, 2500, 100);
-  test::SeededRng rng(5);
-  TaskPool pool(4);
+  for (size_t shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedIndex index = BuildShardedIndex(shards, 321, 2500, 100);
+    test::SeededRng rng(5);
+    TaskPool pool(4);
 
-  std::vector<std::vector<Timestamp>> batches;
-  for (int i = 0; i < 5; ++i) batches.push_back(test::RandomTimes(rng, built.events, 4));
+    std::vector<std::vector<Timestamp>> batches;
+    for (int i = 0; i < 5; ++i) batches.push_back(test::RandomTimes(rng, index.events, 4));
 
-  RetrievalSession session(built.dg.get(), &pool);
-  std::vector<RetrievalSession::Request*> tickets;
-  for (const auto& b : batches) {
-    tickets.push_back(session.Submit(b, i_th_components(tickets.size())));
-  }
-  ASSERT_TRUE(session.Wait().ok());
+    auto session = index.NewSession(&pool);
+    std::vector<RetrievalSession::Request*> tickets;
+    for (const auto& b : batches) {
+      tickets.push_back(session->Submit(b, i_th_components(tickets.size())));
+    }
+    ASSERT_TRUE(session->Wait().ok());
 
-  built.dg->SetTaskPool(nullptr);
-  for (size_t i = 0; i < batches.size(); ++i) {
-    ASSERT_TRUE(tickets[i]->result.ok()) << tickets[i]->result.status().ToString();
-    auto expect = built.dg->GetSnapshots(batches[i], i_th_components(i));
-    ASSERT_TRUE(expect.ok());
-    ASSERT_EQ(tickets[i]->result.value().size(), batches[i].size());
-    for (size_t j = 0; j < batches[i].size(); ++j) {
-      EXPECT_TRUE(tickets[i]->result.value()[j].Equals(expect.value()[j]))
-          << "request " << i << " time index " << j;
+    index.SetTaskPool(nullptr);
+    for (size_t i = 0; i < batches.size(); ++i) {
+      ASSERT_TRUE(tickets[i]->result.ok()) << tickets[i]->result.status().ToString();
+      auto expect = index.GetSnapshots(batches[i], i_th_components(i));
+      ASSERT_TRUE(expect.ok());
+      ASSERT_EQ(tickets[i]->result.value().size(), batches[i].size());
+      ASSERT_EQ(tickets[i]->parts.size(), shards);
+      for (size_t j = 0; j < batches[i].size(); ++j) {
+        auto oracle = test::NaiveReplayOracle::At(index.events, batches[i][j],
+                                                  i_th_components(i));
+        EXPECT_TRUE(oracle.Matches(tickets[i]->result.value()[j]))
+            << "request " << i << " time index " << j;
+        EXPECT_TRUE(tickets[i]->result.value()[j].Equals(expect.value()[j]))
+            << "request " << i << " time index " << j;
+      }
     }
   }
 }
 
 TEST(RetrievalSessionTest, EmptyAndUnfinalizedIndexFallBack) {
-  auto store = NewMemKVStore();
-  DeltaGraphOptions opts;
-  opts.leaf_size = 10000;  // Nothing gets cut: skeleton stays empty.
-  auto dg = DeltaGraph::Create(store.get(), opts);
-  ASSERT_TRUE(dg.ok());
-  RandomTraceOptions topts;
-  topts.num_events = 200;
-  GeneratedTrace trace = GenerateRandomTrace(topts);
-  ASSERT_TRUE(dg.value()->AppendAll(trace.events).ok());
+  for (size_t shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    // Nothing gets cut: every shard's skeleton stays empty.
+    ShardedIndex index = BuildShardedIndex(shards, 17, 200, 0, {}, /*finalize=*/false);
+    const Timestamp last = index.events.back().time;
 
-  TaskPool pool(2);
-  RetrievalSession session(dg.value().get(), &pool);
-  auto* empty = session.Submit({});
-  auto* replayed = session.Submit({trace.events.back().time});
-  ASSERT_TRUE(session.Wait().ok());
-  EXPECT_TRUE(empty->result.ok());
-  EXPECT_EQ(empty->result.value().size(), 0u);
-  ASSERT_TRUE(replayed->result.ok());
-  EXPECT_TRUE(replayed->result.value()[0].Equals(
-      ReplayAt(trace.events, trace.events.back().time)));
+    TaskPool pool(2);
+    auto session = index.NewSession(&pool);
+    auto* empty = session->Submit({});
+    auto* replayed = session->Submit({last});
+    ASSERT_TRUE(session->Wait().ok());
+    EXPECT_TRUE(empty->result.ok());
+    EXPECT_EQ(empty->result.value().size(), 0u);
+    ASSERT_TRUE(replayed->result.ok());
+    EXPECT_TRUE(test::NaiveReplayOracle::At(index.events, last, kCompAll)
+                    .Matches(replayed->result.value()[0]));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,46 +477,49 @@ TEST(RetrievalSessionTest, EmptyAndUnfinalizedIndexFallBack) {
 // ---------------------------------------------------------------------------
 
 TEST(ExecStressTest, ConcurrentSessionsOverOneIndex) {
-  BuiltIndex built = BuildRandomIndex(2024, 2500, 120);
-  built.dg->SetDecodedCacheCapacity(4);  // Force LRU churn + eviction races.
-  TaskPool pool(4);
-  built.dg->SetTaskPool(&pool);
+  for (size_t shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedIndex index = BuildShardedIndex(shards, 2024, 2500, 120);
+    index.SetDecodedCacheCapacity(4);  // Force LRU churn + eviction races.
+    TaskPool pool(4);
+    index.SetTaskPool(&pool);
 
-  constexpr int kDrivers = 4;
-  constexpr int kRoundsPerDriver = 3;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> drivers;
-  for (int d = 0; d < kDrivers; ++d) {
-    drivers.emplace_back([&, d] {
-      test::SeededRng rng(9000 + d);
-      for (int round = 0; round < kRoundsPerDriver; ++round) {
-        RetrievalSession session(built.dg.get(), &pool);
-        std::vector<std::vector<Timestamp>> batches;
-        std::vector<RetrievalSession::Request*> tickets;
-        for (int r = 0; r < 3; ++r) {
-          batches.push_back(test::RandomTimes(rng, built.events, 3 + r));
-          tickets.push_back(session.Submit(batches.back()));
-        }
-        if (!session.Wait().ok()) {
-          failures.fetch_add(1);
-          continue;
-        }
-        for (size_t r = 0; r < tickets.size(); ++r) {
-          for (size_t j = 0; j < batches[r].size(); ++j) {
-            Snapshot expected = ReplayAt(built.events, batches[r][j]);
-            if (!tickets[r]->result.value()[j].Equals(expected)) {
-              failures.fetch_add(1);
-              ADD_FAILURE() << "driver " << d << " round " << round << " req " << r
-                            << " t=" << batches[r][j] << "\n"
-                            << tickets[r]->result.value()[j].DiffString(expected);
+    constexpr int kDrivers = 4;
+    constexpr int kRoundsPerDriver = 3;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> drivers;
+    for (int d = 0; d < kDrivers; ++d) {
+      drivers.emplace_back([&, d] {
+        test::SeededRng rng(9000 + d);
+        for (int round = 0; round < kRoundsPerDriver; ++round) {
+          auto session = index.NewSession(&pool);
+          std::vector<std::vector<Timestamp>> batches;
+          std::vector<RetrievalSession::Request*> tickets;
+          for (int r = 0; r < 3; ++r) {
+            batches.push_back(test::RandomTimes(rng, index.events, 3 + r));
+            tickets.push_back(session->Submit(batches.back()));
+          }
+          if (!session->Wait().ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          for (size_t r = 0; r < tickets.size(); ++r) {
+            for (size_t j = 0; j < batches[r].size(); ++j) {
+              auto oracle =
+                  test::NaiveReplayOracle::At(index.events, batches[r][j], kCompAll);
+              if (!oracle.Matches(tickets[r]->result.value()[j])) {
+                failures.fetch_add(1);
+                ADD_FAILURE() << "driver " << d << " round " << round << " req " << r
+                              << " t=" << batches[r][j];
+              }
             }
           }
         }
-      }
-    });
+      });
+    }
+    for (auto& t : drivers) t.join();
+    EXPECT_EQ(failures.load(), 0);
   }
-  for (auto& t : drivers) t.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(ExecStressTest, ConcurrentDirectGetSnapshots) {

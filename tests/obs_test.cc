@@ -657,6 +657,46 @@ TEST(ObsIntegrationTest, PartitionedStatsAggregateAcrossShards) {
   EXPECT_GT(agg.leaf_count, 0u);
 }
 
+// A sharded one-shot retrieval consults the production sampler like every
+// other session: with tracing off and 1-in-1 sampling, one call leaves exactly
+// one flight-recorder entry stamped with its pinned frontiers and shard skew.
+TEST(TraceTest, ShardedRetrievalIsSampledIntoFlightRecorder) {
+  ObsGateGuard guard;
+  obs::SetTraceEnabled(false);
+  auto base = NewMemKVStore();
+  DeltaGraphOptions opts;
+  opts.leaf_size = 60;
+  opts.arity = 3;
+  auto pdg = PartitionedDeltaGraph::Create(base.get(), 3, opts);
+  ASSERT_TRUE(pdg.ok());
+  const std::vector<Event> events = SmallTrace(3131, 3000);
+  ASSERT_TRUE(pdg.value()->AppendAll(events).ok());
+  ASSERT_TRUE(pdg.value()->Finalize().ok());
+
+  obs::TraceSampler& sampler = obs::TraceSampler::Global();
+  const uint32_t saved_every_n = sampler.every_n();
+  const int64_t saved_arm_us = sampler.arm_threshold_us();
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.Clear();
+  sampler.Configure(/*every_n=*/1, /*arm_threshold_us=*/0);
+
+  const Timestamp lo = events.front().time;
+  const Timestamp hi = events.back().time;
+  auto got = pdg.value()->GetSnapshots({lo + (hi - lo) / 3, hi - (hi - lo) / 4});
+  const std::vector<obs::FlightEntry> entries = recorder.Recent();
+
+  sampler.Configure(saved_every_n, saved_arm_us);
+  sampler.ResetCounters();
+  recorder.Clear();
+
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].label, "session");
+  EXPECT_GT(entries[0].epoch, 0u);
+  EXPECT_EQ(entries[0].event_count, events.size());
+  EXPECT_GT(entries[0].shard_skew, 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Histogram edge cases: the exact/log-linear seam and the overflow clamp
 // ---------------------------------------------------------------------------

@@ -1,20 +1,26 @@
 // Sharded-index coverage: chunk-aligned routing invariants, the single-store
 // prefix-namespace layout (Create/Open round trip), parallel per-shard ingest,
-// parts-vs-merged consistency of RetrieveParts/GetSnapshotParts, the
-// PartitionedRetrievalSession, and GraphPool::OverlayHistoricalParts. Every
+// parts-vs-merged consistency of a session request's per-shard pieces and
+// GetSnapshotParts, RetrievalSession over a sharded index (including its
+// cross-shard prefetch overlap on a serial pool), and
+// GraphPool::OverlayHistoricalParts. Every
 // retrieval result is checked against the NaiveReplayOracle (tests/
 // test_oracle.h), which shares no code with the sharding machinery.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "deltagraph/partitioned_delta_graph.h"
 #include "exec/io_pool.h"
-#include "exec/partitioned_session.h"
+#include "exec/retrieval_session.h"
 #include "exec/task_pool.h"
 #include "graphpool/graph_pool.h"
 #include "kvstore/kv_store.h"
@@ -217,22 +223,25 @@ TEST(PartitionedTest, PartsAreDisjointAndMergeToWhole) {
     PartitionedWorkload w = BuildPartitioned(rng, 4, &pool);
 
     std::vector<Timestamp> times = test::RandomTimes(rng, w.log, 4);
-    auto parts = w.pdg->RetrieveParts(times);
-    ASSERT_TRUE(parts.ok()) << parts.status().ToString();
-    ASSERT_EQ(parts.value().size(), 4u);
+    RetrievalSession session(w.pdg.get());
+    auto* req = session.Submit(times);
+    ASSERT_TRUE(session.Wait().ok()) << req->result.status().ToString();
+    std::vector<std::vector<Snapshot>>& parts = req->parts;
+    ASSERT_EQ(parts.size(), 4u);
 
     for (size_t i = 0; i < times.size(); ++i) {
       size_t node_sum = 0, edge_sum = 0;
       Snapshot merged;
-      for (size_t p = 0; p < parts.value().size(); ++p) {
-        node_sum += parts.value()[p][i].NodeCount();
-        edge_sum += parts.value()[p][i].EdgeCount();
-        merged.AbsorbDisjoint(std::move(parts.value()[p][i]));
+      for (size_t p = 0; p < parts.size(); ++p) {
+        node_sum += parts[p][i].NodeCount();
+        edge_sum += parts[p][i].EdgeCount();
+        merged.AbsorbDisjoint(std::move(parts[p][i]));
       }
       EXPECT_EQ(merged.NodeCount(), node_sum) << "t=" << times[i];
       EXPECT_EQ(merged.EdgeCount(), edge_sum) << "t=" << times[i];
       auto oracle = test::NaiveReplayOracle::At(w.log, times[i], kCompAll);
       EXPECT_TRUE(oracle.Matches(merged)) << "t=" << times[i];
+      EXPECT_TRUE(merged.Equals(req->result.value()[i])) << "t=" << times[i];
     }
   }
 }
@@ -249,7 +258,7 @@ TEST(PartitionedSessionTest, BatchedRequestsMatchOracle) {
     std::vector<Timestamp> times_a = test::RandomTimes(rng, w.log, 4);
     std::vector<Timestamp> times_b = test::RandomTimes(rng, w.log, 3);
 
-    PartitionedRetrievalSession session(w.pdg.get(), &pool);
+    RetrievalSession session(w.pdg.get(), &pool);
     auto* a = session.Submit(times_a);
     auto* b = session.Submit(times_b, kCompStruct);
     auto* empty = session.Submit({});
@@ -269,6 +278,128 @@ TEST(PartitionedSessionTest, BatchedRequestsMatchOracle) {
     }
     ASSERT_TRUE(empty->result.ok());
     EXPECT_TRUE(empty->result.value().empty());
+  }
+}
+
+// Couples two shard stores: once armed, every read of the "waiting" store
+// blocks until the "signalling" store has served a read. A wait gives up
+// after about 5 s and records a timeout (after which no read waits again),
+// so a missing overlap fails the test instead of hanging it.
+struct CrossShardGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;
+  bool signalled = false;
+  bool timed_out = false;
+  std::atomic<int> waiting_reads{0};
+  std::atomic<int> timeouts{0};
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu);
+    armed = true;
+  }
+  void Signal() {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!armed) return;
+    signalled = true;
+    cv.notify_all();
+  }
+  void Await() {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!armed) return;
+    waiting_reads.fetch_add(1);
+    if (!cv.wait_for(lock, std::chrono::seconds(5),
+                     [this] { return signalled || timed_out; })) {
+      timed_out = true;
+      timeouts.fetch_add(1);
+    }
+  }
+};
+
+class GatedKVStore : public KVStore {
+ public:
+  GatedKVStore(CrossShardGate* gate, bool waits)
+      : base_(NewMemKVStore()), gate_(gate), waits_(waits) {}
+
+  Status Put(const Slice& key, const Slice& value) override {
+    return base_->Put(key, value);
+  }
+  Status Get(const Slice& key, std::string* value) const override {
+    BeforeRead();
+    return base_->Get(key, value);
+  }
+  Status Delete(const Slice& key) override { return base_->Delete(key); }
+  Status Write(const WriteBatch& batch) override { return base_->Write(batch); }
+  void MultiGet(const std::vector<Slice>& keys, std::vector<std::string>* values,
+                std::vector<Status>* statuses) const override {
+    BeforeRead();
+    base_->MultiGet(keys, values, statuses);
+  }
+  bool Contains(const Slice& key) const override { return base_->Contains(key); }
+  void ForEachKey(const Slice& prefix,
+                  const std::function<void(const Slice&)>& fn) const override {
+    base_->ForEachKey(prefix, fn);
+  }
+  size_t KeyCount() const override { return base_->KeyCount(); }
+  size_t ValueBytes() const override { return base_->ValueBytes(); }
+  Status Sync() override { return base_->Sync(); }
+
+ private:
+  void BeforeRead() const {
+    if (waits_) {
+      gate_->Await();
+    } else {
+      gate_->Signal();
+    }
+  }
+
+  std::unique_ptr<KVStore> base_;
+  CrossShardGate* gate_;
+  bool waits_;
+};
+
+// Every shard's prefetch is queued before any shard executes — on a serial
+// pool too, where each shard's tree runs inline. Shard 0's store cannot serve
+// a read until shard 1's store has served one, so a session that ran shard
+// 0's walk before queueing shard 1's prefetch would stall on every shard-0
+// fetch; the session must instead finish without a single timed-out wait.
+TEST(PartitionedSessionTest, SerialPoolOverlapsShardPrefetch) {
+  RandomTraceOptions topts;
+  topts.num_events = 3000;
+  topts.seed = 6161;
+  GeneratedTrace trace = GenerateRandomTrace(topts);
+
+  CrossShardGate gate;
+  GatedKVStore store0(&gate, /*waits=*/true);
+  GatedKVStore store1(&gate, /*waits=*/false);
+  DeltaGraphOptions opts;
+  opts.leaf_size = 100;
+  opts.arity = 2;
+  auto pdg = PartitionedDeltaGraph::Create({&store0, &store1}, opts);
+  ASSERT_TRUE(pdg.ok());
+  PartitionedDeltaGraph& index = *pdg.value();
+  TaskPool& serial = TaskPool::Serial();
+  IoPool io(2);
+  index.SetTaskPool(&serial);
+  index.SetIoPool(&io);
+  ASSERT_TRUE(index.AppendAll(trace.events).ok());
+  ASSERT_TRUE(index.Finalize().ok());
+  index.SetDecodedCacheCapacity(0);  // Every fetch reaches the store.
+
+  test::SeededRng rng(6162);
+  const std::vector<Timestamp> times = test::RandomTimes(rng, trace.events, 5);
+  gate.Arm();
+  RetrievalSession session(&index, &serial);
+  auto* req = session.Submit(times);
+  ASSERT_TRUE(session.Wait().ok()) << req->result.status().ToString();
+
+  EXPECT_GT(gate.waiting_reads.load(), 0) << "shard 0 never read; test is vacuous";
+  EXPECT_EQ(gate.timeouts.load(), 0)
+      << "a shard-0 read waited out its bound: shard 1's prefetch was not in "
+         "flight while shard 0 executed";
+  for (size_t i = 0; i < times.size(); ++i) {
+    auto oracle = test::NaiveReplayOracle::At(trace.events, times[i], kCompAll);
+    EXPECT_TRUE(oracle.Matches(req->result.value()[i])) << "t=" << times[i];
   }
 }
 
