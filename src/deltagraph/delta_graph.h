@@ -76,23 +76,6 @@ struct DeltaGraphStats {
 Status ApplyEventRange(std::span<const Event> events, Snapshot* g, bool forward,
                        Timestamp lo, Timestamp hi, unsigned components);
 
-/// \brief Visitor over a backtracking plan walk (ExecutePlan): auxiliary-index
-/// retrieval replays snapshot plans through it. Snapshot retrieval itself
-/// runs on the forking PlanExecutor (src/exec/plan_executor.h).
-class PlanVisitor {
- public:
-  virtual ~PlanVisitor() = default;
-  virtual Status LoadMaterialized(int32_t node) = 0;
-  virtual Status LoadCurrent() = 0;
-  /// Undo of LoadMaterialized/LoadCurrent during backtracking.
-  virtual Status Unload() = 0;
-  virtual Status ApplyDelta(int32_t edge, bool forward) = 0;
-  virtual Status ApplyEvents(int32_t edge, bool forward, Timestamp lo, Timestamp hi) = 0;
-  virtual Status ApplyRecentEvents(bool forward, Timestamp lo, Timestamp hi) = 0;
-  virtual Status EmitTime(Timestamp t) = 0;
-  virtual Status EmitNode(int32_t node) = 0;
-};
-
 /// \brief The DeltaGraph: a hierarchical delta-based index over the history
 /// of a graph (Section 4), storing its payloads in a key-value store and its
 /// skeleton in memory.
@@ -201,11 +184,6 @@ class DeltaGraph {
   Result<Plan> PlanFor(const std::vector<Timestamp>& times,
                        unsigned components = kCompAll) const;
 
-  /// Walks a plan depth-first with a custom visitor, backtracking (undoing
-  /// each non-tail step) between siblings. Auxiliary-index retrieval reuses
-  /// the snapshot plan machinery this way.
-  Status ExecutePlan(const Plan& plan, PlanVisitor* visitor) const;
-
   /// Collects all events with ts <= time < te, including transient events if
   /// requested (backs GetHistGraphInterval).
   Status CollectEvents(Timestamp ts, Timestamp te, unsigned components,
@@ -310,8 +288,9 @@ class DeltaGraph {
   /// appended; the hook must outlive the DeltaGraph.
   void RegisterAuxHook(AuxIndexHook* hook) { aux_hooks_.push_back(hook); }
 
-  /// Reconstructs the auxiliary state of `hook` as of time `t` by replaying
-  /// the retrieval plan through the hook.
+  /// Reconstructs the auxiliary state of `hook` as of time `t` by walking
+  /// the single-time retrieval plan (a path from the super-root) through the
+  /// hook; Internal error if the plan branches.
   Result<std::unique_ptr<AuxState>> GetAuxState(const AuxIndexHook& hook,
                                                 Timestamp t) const;
 
@@ -335,8 +314,6 @@ class DeltaGraph {
   /// PlanNodes work is deliberately not counted: the advisor must not see
   /// its own actions as traffic.
   void RecordPlanTouches(const Plan& plan, const Skeleton& skel) const;
-  Status WalkPlanNode(const PlanNode& node, PlanVisitor* visitor, bool is_tail) const;
-  Status ApplyPlanStep(const PlanStep& step, PlanVisitor* visitor, bool undo) const;
 
   /// Flushes the first `prefix` recent events as a leaf + eventlist edge,
   /// leaving the remainder in the recent eventlist. Callers must never place

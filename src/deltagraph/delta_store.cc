@@ -25,21 +25,6 @@ obs::Counter& LruMisses() {
       obs::MetricsRegistry::Global().GetCounter("delta_store.lru_misses");
   return *c;
 }
-obs::Counter& MultiGets() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("delta_store.multigets");
-  return *c;
-}
-obs::Counter& KeysRead() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("delta_store.keys_read");
-  return *c;
-}
-obs::Counter& BytesRead() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("delta_store.bytes_read");
-  return *c;
-}
 obs::Counter& Decodes() {
   static obs::Counter* c =
       obs::MetricsRegistry::Global().GetCounter("delta_store.decodes");
@@ -135,32 +120,23 @@ std::string DeltaStore::Key(DeltaId id, int component_index) {
 
 // -- Decoded-object LRU ------------------------------------------------------
 
-std::shared_ptr<const Delta> DeltaStore::CacheLookupDelta(uint64_t key) const {
+bool DeltaStore::CacheLookup(uint64_t key, BatchedRead* r) const {
   std::shared_lock lock(cache_mu_);
   auto it = cache_index_.find(key);
   if (it == cache_index_.end()) {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
     LruMisses().Add();
-    return nullptr;
+    return false;
   }
   it->second->hot.store(true, std::memory_order_relaxed);
   cache_hits_.fetch_add(1, std::memory_order_relaxed);
   LruHits().Add();
-  return it->second->delta;
-}
-
-std::shared_ptr<const EventList> DeltaStore::CacheLookupEvents(uint64_t key) const {
-  std::shared_lock lock(cache_mu_);
-  auto it = cache_index_.find(key);
-  if (it == cache_index_.end()) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    LruMisses().Add();
-    return nullptr;
+  if (r->is_eventlist) {
+    r->events = it->second->events;
+  } else {
+    r->delta = it->second->delta;
   }
-  it->second->hot.store(true, std::memory_order_relaxed);
-  cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  LruHits().Add();
-  return it->second->events;
+  return true;
 }
 
 void DeltaStore::CacheInsert(uint64_t key, std::shared_ptr<const Delta> delta,
@@ -250,58 +226,6 @@ Status DeltaStore::PutDelta(DeltaId id, const Delta& delta, ComponentSizes* size
   return Status::OK();
 }
 
-Status DeltaStore::GetDelta(DeltaId id, unsigned components,
-                            const ComponentSizes& sizes, Delta* out) const {
-  auto shared = GetDeltaShared(id, components, sizes);
-  if (!shared.ok()) return shared.status();
-  *out = *shared.value();
-  return Status::OK();
-}
-
-Result<std::shared_ptr<const Delta>> DeltaStore::GetDeltaShared(
-    DeltaId id, unsigned components, const ComponentSizes& sizes,
-    ReadStats* rs) const {
-  fetch_freq_.Record(id);
-  const uint64_t key = CacheKey(id, components, /*is_delta=*/true);
-  if (auto hit = CacheLookupDelta(key)) {
-    if (rs != nullptr) rs->cache_hit = true;
-    return hit;
-  }
-  // All requested components in one MultiGet: one storage round-trip per
-  // delta instead of one per component.
-  std::vector<std::string> keys;
-  std::vector<ComponentMask> masks;
-  for (int c = 0; c < 3; ++c) {  // Deltas have no transient component.
-    const ComponentMask mask = kComponentByIndex[c];
-    if ((components & mask) == 0) continue;
-    if (sizes.bytes[c] == 0) continue;  // Component empty; nothing stored.
-    keys.push_back(Key(id, c));
-    masks.push_back(mask);
-  }
-  auto decoded = std::make_shared<Delta>();
-  std::vector<Slice> key_slices(keys.begin(), keys.end());
-  std::vector<std::string> blobs;
-  std::vector<Status> statuses;
-  store_->MultiGet(key_slices, &blobs, &statuses);
-  MultiGets().Add();
-  KeysRead().Add(keys.size());
-  Decodes().Add();
-  uint64_t bytes = 0;
-  for (const std::string& b : blobs) bytes += b.size();
-  BytesRead().Add(bytes);
-  if (rs != nullptr) {
-    rs->kv_keys = static_cast<uint32_t>(keys.size());
-    rs->bytes = bytes;
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    HG_RETURN_NOT_OK(statuses[i]);
-    HG_RETURN_NOT_OK(decoded->DecodeComponent(masks[i], blobs[i]));
-  }
-  std::shared_ptr<const Delta> out = std::move(decoded);
-  CacheInsert(key, out, nullptr);
-  return out;
-}
-
 Status DeltaStore::PutEventList(DeltaId id, const EventList& events,
                                 ComponentSizes* sizes) {
   CacheInvalidate(id);
@@ -319,56 +243,7 @@ Status DeltaStore::PutEventList(DeltaId id, const EventList& events,
   return Status::OK();
 }
 
-Status DeltaStore::GetEventList(DeltaId id, unsigned components,
-                                const ComponentSizes& sizes, EventList* out) const {
-  auto shared = GetEventListShared(id, components, sizes);
-  if (!shared.ok()) return shared.status();
-  *out = *shared.value();
-  return Status::OK();
-}
-
-Result<std::shared_ptr<const EventList>> DeltaStore::GetEventListShared(
-    DeltaId id, unsigned components, const ComponentSizes& sizes,
-    ReadStats* rs) const {
-  fetch_freq_.Record(id);
-  const uint64_t key = CacheKey(id, components, /*is_delta=*/false);
-  if (auto hit = CacheLookupEvents(key)) {
-    if (rs != nullptr) rs->cache_hit = true;
-    return hit;
-  }
-  std::vector<std::string> keys;
-  for (int c = 0; c < kNumComponents; ++c) {
-    const ComponentMask mask = kComponentByIndex[c];
-    if ((components & mask) == 0) continue;
-    if (sizes.bytes[c] == 0) continue;
-    keys.push_back(Key(id, c));
-  }
-  auto decoded = std::make_shared<EventList>();
-  std::vector<Slice> key_slices(keys.begin(), keys.end());
-  std::vector<std::string> blobs;
-  std::vector<Status> statuses;
-  store_->MultiGet(key_slices, &blobs, &statuses);
-  MultiGets().Add();
-  KeysRead().Add(keys.size());
-  Decodes().Add();
-  uint64_t bytes = 0;
-  for (const std::string& b : blobs) bytes += b.size();
-  BytesRead().Add(bytes);
-  if (rs != nullptr) {
-    rs->kv_keys = static_cast<uint32_t>(keys.size());
-    rs->bytes = bytes;
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    HG_RETURN_NOT_OK(statuses[i]);
-    HG_RETURN_NOT_OK(decoded->DecodeAndMergeComponent(blobs[i]));
-  }
-  decoded->FinalizeMerge();
-  std::shared_ptr<const EventList> out = std::move(decoded);
-  CacheInsert(key, nullptr, out);
-  return out;
-}
-
-void DeltaStore::FetchBatch(std::vector<BatchedRead>* batch,
+void DeltaStore::FetchBatch(std::span<BatchedRead> batch,
                             std::vector<FetchedRead>* fetched) const {
   // Resolve decoded-LRU hits first and gather the KV keys of every miss, so
   // the storage round-trip below covers the whole batch.
@@ -378,24 +253,13 @@ void DeltaStore::FetchBatch(std::vector<BatchedRead>* batch,
   };
   std::vector<std::string> keys;
   std::vector<KeyPart> parts;
-  for (size_t i = 0; i < batch->size(); ++i) {
-    BatchedRead& r = (*batch)[i];
+  for (size_t i = 0; i < batch.size(); ++i) {
+    BatchedRead& r = batch[i];
     fetch_freq_.Record(r.id);
-    const uint64_t cache_key = CacheKey(r.id, r.components, !r.is_eventlist);
-    if (r.is_eventlist) {
-      if (auto hit = CacheLookupEvents(cache_key)) {
-        r.events = std::move(hit);
-        r.status = Status::OK();
-        r.lru_hit = true;
-        continue;
-      }
-    } else {
-      if (auto hit = CacheLookupDelta(cache_key)) {
-        r.delta = std::move(hit);
-        r.status = Status::OK();
-        r.lru_hit = true;
-        continue;
-      }
+    if (CacheLookup(CacheKey(r.id, r.components, !r.is_eventlist), &r)) {
+      r.status = Status::OK();
+      r.lru_hit = true;
+      continue;
     }
     const size_t fi = fetched->size();
     fetched->push_back(FetchedRead{i, Status::OK(), {}});
@@ -411,7 +275,7 @@ void DeltaStore::FetchBatch(std::vector<BatchedRead>* batch,
   if (fetched->empty()) return;
 
   // One MultiGet round-trip for the entire batch (cross-*delta*, not just
-  // cross-component): this is the prefetcher's per-I/O-shard drain path.
+  // cross-component). The KVStore books its own kvstore.* read counters.
   std::vector<std::string> blobs;
   std::vector<Status> statuses;
   if (!keys.empty()) {
@@ -419,11 +283,6 @@ void DeltaStore::FetchBatch(std::vector<BatchedRead>* batch,
     store_->MultiGet(key_slices, &blobs, &statuses);
     batched_multigets_.fetch_add(1, std::memory_order_relaxed);
     batched_reads_.fetch_add(fetched->size(), std::memory_order_relaxed);
-    MultiGets().Add();
-    KeysRead().Add(keys.size());
-    uint64_t bytes = 0;
-    for (const std::string& b : blobs) bytes += b.size();
-    BytesRead().Add(bytes);
   }
   for (size_t k = 0; k < parts.size(); ++k) {
     FetchedRead& f = (*fetched)[parts[k].fetched_index];
@@ -470,18 +329,10 @@ void DeltaStore::DecodeFetched(BatchedRead* read, FetchedRead* fetched) const {
   }
 }
 
-void DeltaStore::GetBatch(std::vector<BatchedRead>* batch) const {
+void DeltaStore::GetBatch(std::span<BatchedRead> batch) const {
   std::vector<FetchedRead> fetched;
   FetchBatch(batch, &fetched);
-  for (FetchedRead& f : fetched) DecodeFetched(&(*batch)[f.entry], &f);
-}
-
-Status DeltaStore::DeleteDelta(DeltaId id) {
-  CacheInvalidate(id);
-  for (int c = 0; c < kNumComponents; ++c) {
-    HG_RETURN_NOT_OK(store_->Delete(Key(id, c)));
-  }
-  return Status::OK();
+  for (FetchedRead& f : fetched) DecodeFetched(&batch[f.entry], &f);
 }
 
 Status DeltaStore::PutSkeleton(const Skeleton& skeleton) {

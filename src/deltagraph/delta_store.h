@@ -6,6 +6,7 @@
 #include <list>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -110,40 +111,19 @@ class DeltaStore {
   /// serialized byte/element counts per component.
   Status PutDelta(DeltaId id, const Delta& delta, ComponentSizes* sizes);
 
-  /// Loads the requested components into `out` (missing components of the
-  /// request that were never stored are treated as empty).
-  Status GetDelta(DeltaId id, unsigned components, const ComponentSizes& sizes,
-                  Delta* out) const;
-
-  /// What one shared read cost, for trace attribution (filled when the
-  /// caller passes a non-null out-param; no cost otherwise).
-  struct ReadStats {
-    bool cache_hit = false;  ///< Served from the decoded LRU.
-    uint32_t kv_keys = 0;    ///< Keys fetched from the KVStore.
-    uint64_t bytes = 0;      ///< Blob bytes fetched.
-  };
-
-  /// Like GetDelta but returns the cache-resident decoded delta without
-  /// copying (the retrieval hot path).
-  Result<std::shared_ptr<const Delta>> GetDeltaShared(DeltaId id, unsigned components,
-                                                      const ComponentSizes& sizes,
-                                                      ReadStats* rs = nullptr) const;
-
   /// Persists all non-empty components of `events` (struct, nodeattr,
   /// edgeattr, transient).
   Status PutEventList(DeltaId id, const EventList& events, ComponentSizes* sizes);
 
-  /// Loads and merges the requested components, in original order.
-  Status GetEventList(DeltaId id, unsigned components, const ComponentSizes& sizes,
-                      EventList* out) const;
-
-  /// Like GetEventList but returns the cache-resident decoded eventlist.
-  Result<std::shared_ptr<const EventList>> GetEventListShared(
-      DeltaId id, unsigned components, const ComponentSizes& sizes,
-      ReadStats* rs = nullptr) const;
-
-  /// One delta / eventlist read inside a cross-delta batch (GetBatch).
+  /// One delta / eventlist read inside a batch. A batch is the only way a
+  /// payload leaves the store: the fetch cache's demand misses send
+  /// one-entry batches, its prefetch drains and CollectEvents send wide ones.
   struct BatchedRead {
+    BatchedRead() = default;
+    BatchedRead(DeltaId id, unsigned components, const ComponentSizes& sizes,
+                bool is_eventlist)
+        : id(id), components(components), sizes(sizes), is_eventlist(is_eventlist) {}
+
     // Inputs.
     DeltaId id = 0;
     unsigned components = 0;
@@ -156,13 +136,10 @@ class DeltaStore {
     bool lru_hit = false;  ///< Served from the decoded LRU, no fetch needed.
   };
 
-  /// Batched read path: resolves every entry of `batch`, serving decoded-LRU
-  /// hits directly and gathering the KV keys of *all* misses into ONE
-  /// KVStore::MultiGet — one storage round-trip per batch, not per delta.
-  /// This is what an I/O shard calls after draining its queued prefetches
-  /// (src/exec/fetch_cache.h). Per-entry failures land in that entry's
+  /// Resolves every entry of `batch`: FetchBatch, then DecodeFetched for each
+  /// miss on the calling thread. Per-entry failures land in that entry's
   /// `status`; other entries still complete.
-  void GetBatch(std::vector<BatchedRead>* batch) const;
+  void GetBatch(std::span<BatchedRead> batch) const;
 
   /// Raw bytes of one batch miss, fetched but not yet decoded: the handoff
   /// unit between FetchBatch (I/O thread) and DecodeFetched (compute pool).
@@ -172,12 +149,14 @@ class DeltaStore {
     std::vector<std::pair<ComponentMask, std::string>> blobs;
   };
 
-  /// The I/O half of GetBatch: decoded-LRU probes plus ONE MultiGet for all
-  /// misses. LRU hits are resolved directly on their batch entries; each miss
-  /// yields one FetchedRead of raw component blobs. Splitting here lets the
-  /// fetch cache run the CPU-bound decode on the compute TaskPool instead of
-  /// serializing it on a seek-bound I/O shard thread.
-  void FetchBatch(std::vector<BatchedRead>* batch,
+  /// The fetch half: decoded-LRU probes, then the KV keys of *all* misses in
+  /// ONE KVStore::MultiGet — one storage round-trip per batch, not per
+  /// delta, and the only place a payload round-trip happens. LRU hits are
+  /// resolved directly on their batch entries (an all-hit batch allocates
+  /// nothing); each miss yields one FetchedRead of raw component blobs.
+  /// Splitting here lets the fetch cache run the CPU-bound decode on the
+  /// compute TaskPool instead of serializing it on a seek-bound I/O thread.
+  void FetchBatch(std::span<BatchedRead> batch,
                   std::vector<FetchedRead>* fetched) const;
 
   /// The decode half: decodes one fetched miss into its batch entry and
@@ -185,14 +164,11 @@ class DeltaStore {
   /// may decode concurrently.
   void DecodeFetched(BatchedRead* read, FetchedRead* fetched) const;
 
-  /// Cross-delta batching stats: number of GetBatch MultiGet round-trips and
-  /// the total reads they served (avg batch width = reads / round-trips).
+  /// Round-trip stats: FetchBatch MultiGets issued and the batch misses they
+  /// served (avg batch width = reads / round-trips). Demand and prefetch
+  /// reads both count.
   size_t batched_multigets() const { return batched_multigets_.load(std::memory_order_relaxed); }
   size_t batched_reads() const { return batched_reads_.load(std::memory_order_relaxed); }
-
-  /// Deletes all components of a delta (used when index evolution replaces
-  /// super-root attachments).
-  Status DeleteDelta(DeltaId id);
 
   /// Skeleton + metadata persistence.
   Status PutSkeleton(const Skeleton& skeleton);
@@ -247,8 +223,8 @@ class DeltaStore {
     std::shared_ptr<const EventList> events;
     mutable std::atomic<bool> hot{false};        // Set on hit; cleared by the clock.
   };
-  std::shared_ptr<const Delta> CacheLookupDelta(uint64_t key) const;
-  std::shared_ptr<const EventList> CacheLookupEvents(uint64_t key) const;
+  /// On a hit, sets `r`'s delta or events (by is_eventlist) and returns true.
+  bool CacheLookup(uint64_t key, BatchedRead* r) const;
   void CacheInsert(uint64_t key, std::shared_ptr<const Delta> delta,
                    std::shared_ptr<const EventList> events) const;
   /// Must be called with cache_mu_ held exclusively.

@@ -14,9 +14,10 @@ namespace hgdb {
 
 namespace {
 
-/// Times one GetSnapshots call into the registry (when metrics are on), and
-/// feeds the latency to the trace sampler so an over-threshold query arms
-/// tail tracing for its successors.
+/// Times one GetSnapshots call into the registry (when metrics are on). The
+/// trace sampler is fed by whoever sampled the query (DeltaGraph::
+/// GetSnapshots, RetrievalSession::Wait, HistGraphServer::Retrieve), so each
+/// query is observed once.
 class QueryMeter {
  public:
   QueryMeter() : on_(obs::MetricsEnabled()) {
@@ -34,7 +35,6 @@ class QueryMeter {
             .count());
     us->Record(elapsed_us);
     queries->Add();
-    obs::TraceSampler::Global().Observe(elapsed_us);
   }
 
  private:
@@ -65,45 +65,6 @@ Status ApplyEventRange(std::span<const Event> events, Snapshot* g, bool forward,
 // ---------------------------------------------------------------------------
 // Plan execution
 // ---------------------------------------------------------------------------
-
-Status DeltaGraph::ApplyPlanStep(const PlanStep& step, PlanVisitor* visitor,
-                                 bool undo) const {
-  switch (step.kind) {
-    case PlanStep::Kind::kLoadMaterialized:
-      return undo ? visitor->Unload() : visitor->LoadMaterialized(step.node);
-    case PlanStep::Kind::kLoadCurrent:
-      return undo ? visitor->Unload() : visitor->LoadCurrent();
-    case PlanStep::Kind::kApplyDelta:
-      return visitor->ApplyDelta(step.edge, undo ? !step.forward : step.forward);
-    case PlanStep::Kind::kApplyEvents:
-      return visitor->ApplyEvents(step.edge, undo ? !step.forward : step.forward,
-                                  step.lo, step.hi);
-    case PlanStep::Kind::kApplyRecentEvents:
-      return visitor->ApplyRecentEvents(undo ? !step.forward : step.forward, step.lo,
-                                        step.hi);
-  }
-  return Status::Internal("plan: unknown step kind");
-}
-
-Status DeltaGraph::WalkPlanNode(const PlanNode& node, PlanVisitor* visitor,
-                                bool is_tail) const {
-  for (Timestamp t : node.emit_times) HG_RETURN_NOT_OK(visitor->EmitTime(t));
-  for (int32_t n : node.emit_nodes) HG_RETURN_NOT_OK(visitor->EmitNode(n));
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    const auto& [step, child] = node.children[i];
-    // The deepest-rightmost path never needs undoing: nothing follows it.
-    const bool child_tail = is_tail && (i + 1 == node.children.size());
-    HG_RETURN_NOT_OK(ApplyPlanStep(step, visitor, /*undo=*/false));
-    HG_RETURN_NOT_OK(WalkPlanNode(*child, visitor, child_tail));
-    if (!child_tail) HG_RETURN_NOT_OK(ApplyPlanStep(step, visitor, /*undo=*/true));
-  }
-  return Status::OK();
-}
-
-Status DeltaGraph::ExecutePlan(const Plan& plan, PlanVisitor* visitor) const {
-  if (!plan.root) return Status::InvalidArgument("plan has no root");
-  return WalkPlanNode(*plan.root, visitor, /*is_tail=*/true);
-}
 
 TaskPool* DeltaGraph::ResolveTaskPool() const {
   if (exec_pool_ != nullptr) return exec_pool_;
@@ -186,22 +147,37 @@ Result<std::vector<Snapshot>> DeltaGraph::GetSnapshots(
     const std::vector<Timestamp>& times, unsigned components) {
   // Pin once so the trace-enabled check and the query see one epoch.
   FrontierPtr frontier = PinFrontier();
+  // This call sampled the query, so it feeds the latency back (tail arming)
+  // once; the clock is read only while arming is configured.
+  obs::TraceSampler& sampler = obs::TraceSampler::Global();
+  const bool observe = sampler.arm_threshold_us() > 0;
+  const auto start =
+      observe ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point();
   // When tracing is on — globally, or this query won the sampler's draw — a
   // standalone call owns its own trace and dumps it on completion; callers
   // that want programmatic access go through a session
   // (RetrievalSession::LastTrace) or the traced overload below.
-  if ((obs::TraceEnabled() || obs::TraceSampler::Global().Sample()) &&
-      !times.empty() && !frontier->skeleton->leaves().empty()) {
-    obs::QueryTrace trace;
-    trace.set_query_label(times.size() == 1 ? "singlepoint" : "multipoint");
-    trace.set_epoch(frontier->epoch);
-    trace.set_event_count(frontier->event_count);
-    auto out =
-        GetSnapshotsAt(frontier, times, components, obs::TraceCtx{&trace, obs::kNoSpan});
-    obs::FinishAndMaybeDump(&trace);
-    return out;
+  Result<std::vector<Snapshot>> out = [&]() -> Result<std::vector<Snapshot>> {
+    if ((obs::TraceEnabled() || sampler.Sample()) && !times.empty() &&
+        !frontier->skeleton->leaves().empty()) {
+      obs::QueryTrace trace;
+      trace.set_query_label(times.size() == 1 ? "singlepoint" : "multipoint");
+      trace.set_epoch(frontier->epoch);
+      trace.set_event_count(frontier->event_count);
+      auto traced = GetSnapshotsAt(frontier, times, components,
+                                   obs::TraceCtx{&trace, obs::kNoSpan});
+      obs::FinishAndMaybeDump(&trace);
+      return traced;
+    }
+    return GetSnapshotsAt(frontier, times, components, obs::TraceCtx{});
+  }();
+  if (observe) {
+    sampler.Observe(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
   }
-  return GetSnapshotsAt(frontier, times, components, obs::TraceCtx{});
+  return out;
 }
 
 Result<std::vector<Snapshot>> DeltaGraph::GetSnapshots(
@@ -273,15 +249,21 @@ Status DeltaGraph::CollectEvents(Timestamp ts, Timestamp te, unsigned components
   // Pin once: the scan sees one consistent epoch of eventlists + recent tail.
   const FrontierPtr frontier = PinFrontier();
   const Skeleton& skel = *frontier->skeleton;
-  *out = EventList();
+  // Every eventlist overlapping the window, fetched in one batch (one
+  // storage round-trip), in chronological order.
+  std::vector<DeltaStore::BatchedRead> batch;
   for (int32_t eid : skel.EventlistEdgesInOrder()) {
     const SkeletonEdge& e = skel.edge(eid);
     const Timestamp b_lo = skel.node(e.from).boundary_time;
     const Timestamp b_hi = skel.node(e.to).boundary_time;
     if (b_hi < ts || b_lo >= te) continue;  // Eventlist covers (b_lo, b_hi].
-    auto el = store_.GetEventListShared(e.delta_id, components, e.sizes);
-    if (!el.ok()) return el.status();
-    for (const auto& ev : el.value()->events()) {
+    batch.emplace_back(e.delta_id, components, e.sizes, /*is_eventlist=*/true);
+  }
+  store_.GetBatch(batch);
+  *out = EventList();
+  for (const DeltaStore::BatchedRead& read : batch) {
+    HG_RETURN_NOT_OK(read.status);
+    for (const auto& ev : read.events->events()) {
       if (ev.time >= ts && ev.time < te) out->Append(ev);
     }
   }
@@ -298,49 +280,6 @@ Status DeltaGraph::CollectEvents(Timestamp ts, Timestamp te, unsigned components
 // Auxiliary-index retrieval (Section 4.7)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Bridges plan execution onto an auxiliary index hook.
-class AuxPlanVisitor final : public PlanVisitor {
- public:
-  AuxPlanVisitor(const AuxIndexHook& hook) : hook_(hook), state_(hook.NewState()) {}
-
-  Status LoadMaterialized(int32_t) override {
-    return Status::Internal("aux plan must not use materialized shortcuts");
-  }
-  Status LoadCurrent() override {
-    return Status::Internal("aux plan must not use the current graph");
-  }
-  Status Unload() override {
-    state_ = hook_.NewState();
-    return Status::OK();
-  }
-  Status ApplyDelta(int32_t edge, bool forward) override {
-    return hook_.ApplyDeltaEdge(state_.get(), edge, forward);
-  }
-  Status ApplyEvents(int32_t edge, bool forward, Timestamp lo, Timestamp hi) override {
-    return hook_.ApplyEventRange(state_.get(), edge, forward, lo, hi);
-  }
-  Status ApplyRecentEvents(bool forward, Timestamp lo, Timestamp hi) override {
-    return hook_.ApplyRecentRange(state_.get(), forward, lo, hi);
-  }
-  Status EmitTime(Timestamp) override {
-    emitted_ = std::move(state_);
-    state_ = hook_.NewState();
-    return Status::OK();
-  }
-  Status EmitNode(int32_t) override { return EmitTime(0); }
-
-  std::unique_ptr<AuxState> TakeEmitted() { return std::move(emitted_); }
-
- private:
-  const AuxIndexHook& hook_;
-  std::unique_ptr<AuxState> state_;
-  std::unique_ptr<AuxState> emitted_;
-};
-
-}  // namespace
-
 Result<std::unique_ptr<AuxState>> DeltaGraph::GetAuxState(const AuxIndexHook& hook,
                                                           Timestamp t) const {
   PlannerContext ctx = MakePlannerContext();
@@ -349,13 +288,35 @@ Result<std::unique_ptr<AuxState>> DeltaGraph::GetAuxState(const AuxIndexHook& ho
   Planner planner(ctx);
   auto plan = planner.PlanSnapshots({t}, kCompStruct);
   if (!plan.ok()) return plan.status();
-  AuxPlanVisitor visitor(hook);
-  HG_RETURN_NOT_OK(ExecutePlan(plan.value(), &visitor));
-  auto emitted = visitor.TakeEmitted();
-  if (emitted == nullptr) {
-    return Status::Internal("aux plan emitted no state");
+  // One time point plans a path: walk its steps straight through the hook,
+  // and take the state at the node that emits the time.
+  std::unique_ptr<AuxState> state = hook.NewState();
+  for (const PlanNode* node = plan.value().root.get(); node != nullptr;) {
+    if (node->children.size() > 1) {
+      return Status::Internal("aux plan is not a path");
+    }
+    if (!node->emit_times.empty() || !node->emit_nodes.empty()) return state;
+    if (node->children.empty()) break;
+    const auto& [step, child] = node->children.front();
+    switch (step.kind) {
+      case PlanStep::Kind::kApplyDelta:
+        HG_RETURN_NOT_OK(hook.ApplyDeltaEdge(state.get(), step.edge, step.forward));
+        break;
+      case PlanStep::Kind::kApplyEvents:
+        HG_RETURN_NOT_OK(hook.ApplyEventRange(state.get(), step.edge, step.forward,
+                                              step.lo, step.hi));
+        break;
+      case PlanStep::Kind::kApplyRecentEvents:
+        HG_RETURN_NOT_OK(
+            hook.ApplyRecentRange(state.get(), step.forward, step.lo, step.hi));
+        break;
+      case PlanStep::Kind::kLoadMaterialized:
+      case PlanStep::Kind::kLoadCurrent:
+        return Status::Internal("aux plan must start from the super-root");
+    }
+    node = child.get();
   }
-  return emitted;
+  return Status::Internal("aux plan emitted no state");
 }
 
 }  // namespace hgdb

@@ -1,6 +1,7 @@
 #include "exec/fetch_cache.h"
 
 #include <chrono>
+#include <type_traits>
 
 #include "deltagraph/delta_graph.h"
 #include "exec/task_pool.h"
@@ -37,19 +38,6 @@ obs::Histogram& DrainWidth() {
   return *h;
 }
 
-// Books one demand fetch's cost onto the trace tallies.
-void TallyDemandRead(const obs::TraceCtx& tc, const DeltaStore::ReadStats& rs) {
-  if (!tc) return;
-  if (rs.cache_hit) {
-    tc.trace->lru_hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    tc.trace->lru_misses.fetch_add(1, std::memory_order_relaxed);
-    tc.trace->kv_reads.fetch_add(rs.kv_keys, std::memory_order_relaxed);
-    tc.trace->bytes_read.fetch_add(rs.bytes, std::memory_order_relaxed);
-    tc.trace->bytes_decoded.fetch_add(rs.bytes, std::memory_order_relaxed);
-  }
-}
-
 // Blocks on `future`, helping drain the calling thread's own TaskPool while
 // it waits. With decode offload, a slot's fulfilment can sit in the compute
 // pool's queue *behind* this very thread; a plain future.get() would park
@@ -68,300 +56,231 @@ auto WaitHelping(const FutureT& future) {
   return future.get();
 }
 
+// The promise of the kind `T` names (Delta or EventList).
+template <typename T, typename ClaimT>
+auto& PromiseOf(ClaimT* claim) {
+  if constexpr (std::is_same_v<T, EventList>) {
+    return claim->events;
+  } else {
+    return claim->delta;
+  }
+}
 }  // namespace
 
+ExecFetchCache::ExecFetchCache(const DeltaGraph& dg) : dg_(dg) {}
+
 template <typename T>
-ExecFetchCache::FetchFuture<T> ExecFetchCache::ClaimOrGet(
-    std::unordered_map<uint64_t, FetchFuture<T>>* map, uint64_t key,
-    std::promise<Result<std::shared_ptr<const T>>>* promise, bool* claimed) {
+ExecFetchCache::SlotMap<T>& ExecFetchCache::Slots() {
+  if constexpr (std::is_same_v<T, EventList>) {
+    return events_;
+  } else {
+    return deltas_;
+  }
+}
+
+template <typename T>
+ExecFetchCache::FetchFuture<T> ExecFetchCache::ClaimOrGet(Claim* claim,
+                                                          bool* claimed) {
+  SlotMap<T>& map = Slots<T>();
   // Fast path: slot already claimed (shared lock, one hash probe).
   {
     std::shared_lock lock(mu_);
-    auto it = map->find(key);
-    if (it != map->end()) {
+    auto it = map.find(claim->key);
+    if (it != map.end()) {
       *claimed = false;
       return it->second;
     }
   }
+  // Allocate the promise's shared state before taking the exclusive lock.
+  auto& promise = PromiseOf<T>(claim).emplace();
   std::unique_lock lock(mu_);
-  auto it = map->find(key);
-  if (it != map->end()) {  // Raced claim: wait on the winner's future.
+  auto it = map.find(claim->key);
+  if (it != map.end()) {  // Raced claim: wait on the winner's future.
     *claimed = false;
+    PromiseOf<T>(claim).reset();
     return it->second;
   }
   *claimed = true;
-  auto future = promise->get_future().share();
-  map->emplace(key, future);
+  FetchFuture<T> future = promise.get_future().share();
+  map.emplace(claim->key, future);
   return future;
 }
 
 template <typename T>
-void ExecFetchCache::ReleaseFailedSlot(
-    std::unordered_map<uint64_t, FetchFuture<T>>* map, uint64_t key) {
+void ExecFetchCache::ReleaseFailedSlot(uint64_t key) {
   // A failed fetch must not pin its error for the cache's lifetime: current
   // waiters see the error (their future is already fulfilled), but dropping
-  // the slot lets the next caller re-claim and retry — matching the old
-  // insert-only-on-success behavior across a long-lived session cache.
+  // the slot lets the next caller re-claim and retry.
   std::unique_lock lock(mu_);
-  map->erase(key);
+  Slots<T>().erase(key);
 }
 
-// The single-flight protocol, shared by the worker and prefetch paths: claim
-// the slot and (if won) fetch outside any lock, fulfil the future, drop the
-// slot on failure. A caller that lost the claim either blocks on the winner's
-// future (workers need the object) or skips (prefetch jobs must not stall
-// their I/O shard behind a busy slot). Returns null only on a lost claim with
-// wait_if_claimed=false.
-template <typename T, typename FetchFn>
-Result<std::shared_ptr<const T>> ExecFetchCache::FetchSingleFlight(
-    std::unordered_map<uint64_t, FetchFuture<T>>* map, uint64_t key,
-    bool wait_if_claimed, FetchFn fetch) {
-  std::promise<Result<std::shared_ptr<const T>>> promise;
+void ExecFetchCache::Fetch(std::span<DeltaStore::BatchedRead> reads,
+                           std::vector<DeltaStore::FetchedRead>* fetched,
+                           obs::ScopedSpan* span, const obs::TraceCtx& tc) const {
+  dg_.delta_store().FetchBatch(reads, fetched);
+  if (!tc) return;
+  // Account the round-trip before any decode touches the blobs.
+  uint64_t lru_hits = 0, kv_keys = 0, bytes = 0;
+  for (const DeltaStore::BatchedRead& r : reads) lru_hits += r.lru_hit ? 1 : 0;
+  for (const DeltaStore::FetchedRead& f : *fetched) {
+    kv_keys += f.blobs.size();
+    for (const auto& [mask, blob] : f.blobs) bytes += blob.size();
+  }
+  span->SetAttrs({{"lru_hits", static_cast<int64_t>(lru_hits)},
+                  {"kv_keys", static_cast<int64_t>(kv_keys)},
+                  {"bytes", static_cast<int64_t>(bytes)}});
+  tc.trace->lru_hits.fetch_add(lru_hits, std::memory_order_relaxed);
+  tc.trace->lru_misses.fetch_add(reads.size() - lru_hits, std::memory_order_relaxed);
+  tc.trace->kv_reads.fetch_add(kv_keys, std::memory_order_relaxed);
+  tc.trace->bytes_read.fetch_add(bytes, std::memory_order_relaxed);
+  tc.trace->bytes_decoded.fetch_add(bytes, std::memory_order_relaxed);
+}
+
+void ExecFetchCache::Fulfil(const DeltaStore::BatchedRead& read, Claim* claim) {
+  if (read.is_eventlist) {
+    claim->events->set_value(read.status.ok() ? FetchResult<EventList>(read.events)
+                                              : FetchResult<EventList>(read.status));
+    if (!read.status.ok()) ReleaseFailedSlot<EventList>(claim->key);
+  } else {
+    claim->delta->set_value(read.status.ok() ? FetchResult<Delta>(read.delta)
+                                             : FetchResult<Delta>(read.status));
+    if (!read.status.ok()) ReleaseFailedSlot<Delta>(claim->key);
+  }
+}
+
+void ExecFetchCache::DecodeAndFulfil(std::span<DeltaStore::BatchedRead> reads,
+                                     std::span<Claim> claims,
+                                     std::vector<DeltaStore::FetchedRead>* fetched) {
+  for (DeltaStore::FetchedRead& f : *fetched) {
+    dg_.delta_store().DecodeFetched(&reads[f.entry], &f);
+  }
+  for (size_t i = 0; i < reads.size(); ++i) Fulfil(reads[i], &claims[i]);
+}
+
+template <typename T>
+Result<std::shared_ptr<const T>> ExecFetchCache::Get(const SkeletonEdge& e,
+                                                     unsigned components) {
+  constexpr bool kEvents = std::is_same_v<T, EventList>;
+  const obs::TraceCtx tc = trace();
+  Claim claim;
+  claim.key = Key(e.id, components);
   bool claimed = false;
-  auto future = ClaimOrGet(map, key, &promise, &claimed);
-  if (claimed) {
-    Result<std::shared_ptr<const T>> r = fetch();
-    promise.set_value(r);
-    if (!r.ok()) ReleaseFailedSlot(map, key);
-    return r;
-  }
-  if (!wait_if_claimed) return std::shared_ptr<const T>();
-  return WaitHelping(future);
-}
-
-Result<std::shared_ptr<const Delta>> ExecFetchCache::GetDelta(const DeltaGraph& dg,
-                                                              const SkeletonEdge& e,
-                                                              unsigned components) {
-  const int32_t edge = e.id;
-  const obs::TraceCtx tc = trace();
-  bool claimed_here = false;
-  auto result = FetchSingleFlight(
-      &deltas_, Key(edge, components), /*wait_if_claimed=*/true, [&] {
-        claimed_here = true;
-        obs::StageTimer stage(obs::StageFetchHist());
-        obs::ScopedSpan span(tc, "fetch.demand");
-        DeltaStore::ReadStats rs;
-        auto r = dg.delta_store().GetDeltaShared(e.delta_id, components, e.sizes,
-                                                 tc ? &rs : nullptr);
-        if (tc) {
-          span.SetAttrs({{"edge", static_cast<int64_t>(edge)},
-                         {"kind", std::string("delta")},
-                         {"lru_hit", static_cast<int64_t>(rs.cache_hit ? 1 : 0)},
-                         {"kv_keys", static_cast<int64_t>(rs.kv_keys)},
-                         {"bytes", static_cast<int64_t>(rs.bytes)}});
-          TallyDemandRead(tc, rs);
-        }
-        return r;
-      });
-  if (claimed_here) {
-    DemandFetches().Add();
-  } else {
-    CoveredFetches().Add();
-  }
+  FetchFuture<T> future = ClaimOrGet<T>(&claim, &claimed);
   if (tc) {
     tc.trace->fetches_total.fetch_add(1, std::memory_order_relaxed);
-    auto& bucket =
-        claimed_here ? tc.trace->fetches_demand : tc.trace->fetches_prefetched;
+    auto& bucket = claimed ? tc.trace->fetches_demand : tc.trace->fetches_prefetched;
     bucket.fetch_add(1, std::memory_order_relaxed);
   }
-  return result;
-}
-
-Result<std::shared_ptr<const EventList>> ExecFetchCache::GetEventList(
-    const DeltaGraph& dg, const SkeletonEdge& e, unsigned components) {
-  const int32_t edge = e.id;
-  const obs::TraceCtx tc = trace();
-  bool claimed_here = false;
-  auto result = FetchSingleFlight(
-      &events_, Key(edge, components), /*wait_if_claimed=*/true, [&] {
-        claimed_here = true;
-        obs::StageTimer stage(obs::StageFetchHist());
-        obs::ScopedSpan span(tc, "fetch.demand");
-        DeltaStore::ReadStats rs;
-        auto r = dg.delta_store().GetEventListShared(
-            e.delta_id, components, e.sizes, tc ? &rs : nullptr);
-        if (tc) {
-          span.SetAttrs({{"edge", static_cast<int64_t>(edge)},
-                         {"kind", std::string("eventlist")},
-                         {"lru_hit", static_cast<int64_t>(rs.cache_hit ? 1 : 0)},
-                         {"kv_keys", static_cast<int64_t>(rs.kv_keys)},
-                         {"bytes", static_cast<int64_t>(rs.bytes)}});
-          TallyDemandRead(tc, rs);
-        }
-        return r;
-      });
-  if (claimed_here) {
-    DemandFetches().Add();
-  } else {
+  if (!claimed) {
     CoveredFetches().Add();
+    return WaitHelping(future);
   }
-  if (tc) {
-    tc.trace->fetches_total.fetch_add(1, std::memory_order_relaxed);
-    auto& bucket =
-        claimed_here ? tc.trace->fetches_demand : tc.trace->fetches_prefetched;
-    bucket.fetch_add(1, std::memory_order_relaxed);
+  // Demand miss: a one-entry batch through the drain's fetch, decode and
+  // fulfil. The batch is a span over this stack slot, so a decoded-LRU hit
+  // allocates nothing beyond the claim itself.
+  DemandFetches().Add();
+  {
+    obs::StageTimer stage(obs::StageFetchHist());
+    obs::ScopedSpan span(tc, "fetch.demand");
+    if (tc) {
+      span.SetAttrs({{"edge", static_cast<int64_t>(e.id)},
+                     {"kind", std::string(kEvents ? "eventlist" : "delta")}});
+    }
+    DeltaStore::BatchedRead read(e.delta_id, components, e.sizes, kEvents);
+    std::vector<DeltaStore::FetchedRead> fetched;
+    Fetch({&read, 1}, &fetched, &span, tc);
+    DecodeAndFulfil({&read, 1}, {&claim, 1}, &fetched);
   }
-  return result;
+  return future.get();
 }
 
-void ExecFetchCache::EnqueuePrefetch(const DeltaGraph& dg, size_t shard,
-                                     const SkeletonEdge& e, bool is_eventlist,
-                                     unsigned components) {
+template Result<std::shared_ptr<const Delta>> ExecFetchCache::Get<Delta>(
+    const SkeletonEdge& e, unsigned components);
+template Result<std::shared_ptr<const EventList>> ExecFetchCache::Get<EventList>(
+    const SkeletonEdge& e, unsigned components);
+
+void ExecFetchCache::EnqueuePrefetch(size_t shard, const SkeletonEdge& e,
+                                     bool is_eventlist, unsigned components) {
   PrefetchesIssued().Add();
   if (const obs::TraceCtx tc = trace()) {
     tc.trace->prefetch_issued.fetch_add(1, std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> lock(batch_mu_);
   batch_queues_[shard].push_back(
-      QueuedPrefetch{&dg, e.id, e.delta_id, e.sizes, is_eventlist, components});
+      QueuedPrefetch{e.id, e.delta_id, e.sizes, is_eventlist, components});
 }
 
 void ExecFetchCache::DrainPrefetchBatch(size_t shard) {
-  std::vector<QueuedPrefetch> drained;
+  std::vector<QueuedPrefetch> queued;
   {
     std::lock_guard<std::mutex> lock(batch_mu_);
     auto it = batch_queues_.find(shard);
-    if (it != batch_queues_.end()) drained.swap(it->second);
+    if (it != batch_queues_.end()) queued.swap(it->second);
   }
-  if (!drained.empty()) {
+  if (!queued.empty()) {
     const obs::TraceCtx tc = trace();
-    obs::ScopedSpan drain_span(tc, "io.drain");
-    uint64_t claimed_n = 0, lru_hits_n = 0, kv_keys_n = 0, bytes_n = 0;
-    // Claim the unclaimed slots, then resolve all claimed reads of one graph
-    // through a single batched DeltaStore fetch — one storage round-trip for
-    // the whole drain. Slots someone else claimed are skipped: single-flight,
-    // the owner fulfils them.
-    struct Pending {
-      uint64_t key;
-      bool is_eventlist;
-      // Exactly one engages (a promise allocates its shared state, so only
-      // the kind this fetch needs is constructed).
-      std::optional<std::promise<Result<std::shared_ptr<const Delta>>>> delta_promise;
-      std::optional<std::promise<Result<std::shared_ptr<const EventList>>>> events_promise;
-    };
-    // Per-graph drain state lives in a shared_ptr so the decode jobs this
-    // drain may schedule on the compute pool can outlive this stack frame.
-    struct GraphDrain {
-      const DeltaGraph* dg = nullptr;
-      std::vector<DeltaStore::BatchedRead> batch;
-      std::vector<Pending> pending;  // pending[i] owns batch[i]'s slot.
-      std::vector<DeltaStore::FetchedRead> fetched;
-    };
-    std::unordered_map<const DeltaGraph*, std::shared_ptr<GraphDrain>> graphs;
-    for (const QueuedPrefetch& q : drained) {
-      const uint64_t key = Key(q.edge, q.components);
-      Pending p;
-      p.key = key;
-      p.is_eventlist = q.is_eventlist;
+    obs::ScopedSpan span(tc, "io.drain");
+    // Claim the unclaimed slots, then resolve them all through one batched
+    // fetch. Slots someone else claimed are skipped: single-flight, the owner
+    // fulfils them.
+    auto drain = std::make_shared<Drain>();
+    for (const QueuedPrefetch& q : queued) {
+      Claim claim;
+      claim.key = Key(q.edge, q.components);
       bool claimed = false;
       if (q.is_eventlist) {
-        (void)ClaimOrGet(&events_, key, &p.events_promise.emplace(), &claimed);
+        (void)ClaimOrGet<EventList>(&claim, &claimed);
       } else {
-        (void)ClaimOrGet(&deltas_, key, &p.delta_promise.emplace(), &claimed);
+        (void)ClaimOrGet<Delta>(&claim, &claimed);
       }
       if (!claimed) continue;
-      DeltaStore::BatchedRead read;
-      read.id = q.delta_id;
-      read.components = q.components;
-      read.sizes = q.sizes;
-      read.is_eventlist = q.is_eventlist;
-      std::shared_ptr<GraphDrain>& gd = graphs[q.dg];
-      if (gd == nullptr) {
-        gd = std::make_shared<GraphDrain>();
-        gd->dg = q.dg;
-      }
-      gd->batch.push_back(read);
-      gd->pending.push_back(std::move(p));
+      drain->reads.emplace_back(q.delta_id, q.components, q.sizes, q.is_eventlist);
+      drain->claims.push_back(std::move(claim));
     }
-    // Fulfils one resolved entry: publish through the slot's future, drop the
-    // slot on failure so a later caller can retry.
-    auto fulfil = [this](DeltaStore::BatchedRead& r, auto& p) {
-      if (p.is_eventlist) {
-        p.events_promise->set_value(r.status.ok()
-                                        ? Result<std::shared_ptr<const EventList>>(
-                                              std::move(r.events))
-                                        : Result<std::shared_ptr<const EventList>>(
-                                              r.status));
-        if (!r.status.ok()) ReleaseFailedSlot(&events_, p.key);
-      } else {
-        p.delta_promise->set_value(
-            r.status.ok()
-                ? Result<std::shared_ptr<const Delta>>(std::move(r.delta))
-                : Result<std::shared_ptr<const Delta>>(r.status));
-        if (!r.status.ok()) ReleaseFailedSlot(&deltas_, p.key);
-      }
-    };
+    if (tc) {
+      span.SetAttrs({{"shard", static_cast<int64_t>(shard)},
+                     {"queued", static_cast<int64_t>(queued.size())},
+                     {"claimed", static_cast<int64_t>(drain->reads.size())}});
+    }
+    Fetch(drain->reads, &drain->fetched, &span, tc);
     TaskPool* const decode_pool = decode_pool_;
-    const bool offload = decode_pool != nullptr && decode_pool->parallelism() >= 2;
-    for (auto& graph_entry : graphs) {
-      const std::shared_ptr<GraphDrain>& gd = graph_entry.second;
-      // Fetch bytes for the whole graph batch (one MultiGet), then account
-      // the drain before decode touches the blobs.
-      gd->dg->delta_store().FetchBatch(&gd->batch, &gd->fetched);
-      claimed_n += gd->batch.size();
-      for (const DeltaStore::BatchedRead& r : gd->batch) {
-        if (r.lru_hit) ++lru_hits_n;
-      }
-      for (const DeltaStore::FetchedRead& f : gd->fetched) {
-        kv_keys_n += f.blobs.size();
-        for (const auto& [mask, blob] : f.blobs) bytes_n += blob.size();
-      }
-      if (!offload) {
-        for (DeltaStore::FetchedRead& f : gd->fetched) {
-          gd->dg->delta_store().DecodeFetched(&gd->batch[f.entry], &f);
-        }
-        for (size_t i = 0; i < gd->batch.size(); ++i) {
-          fulfil(gd->batch[i], gd->pending[i]);
-        }
-        continue;
-      }
+    if (decode_pool == nullptr || decode_pool->parallelism() < 2) {
+      DecodeAndFulfil(drain->reads, drain->claims, &drain->fetched);
+    } else {
       // Decode offload: only the byte fetch ran on this I/O thread; each
       // fetched miss becomes one decode job on the compute pool. Every job
       // registers as an in-flight prefetch, so WaitPrefetchesIdle (and the
       // cache destructor) cannot return beneath it.
-      std::vector<char> deferred(gd->batch.size(), 0);
-      for (const DeltaStore::FetchedRead& f : gd->fetched) deferred[f.entry] = 1;
-      for (size_t i = 0; i < gd->batch.size(); ++i) {
-        if (!deferred[i]) fulfil(gd->batch[i], gd->pending[i]);  // Decoded-LRU hit.
+      for (size_t i = 0; i < drain->reads.size(); ++i) {
+        if (drain->reads[i].lru_hit) Fulfil(drain->reads[i], &drain->claims[i]);
       }
-      for (size_t j = 0; j < gd->fetched.size(); ++j) {
+      for (size_t j = 0; j < drain->fetched.size(); ++j) {
         BeginPrefetch();
-        std::shared_ptr<GraphDrain> state = gd;
-        decode_pool->Submit([this, state, j, fulfil] {
-          DeltaStore::FetchedRead& f = state->fetched[j];
-          state->dg->delta_store().DecodeFetched(&state->batch[f.entry], &f);
-          fulfil(state->batch[f.entry], state->pending[f.entry]);
-          std::lock_guard<std::mutex> lock(prefetch_mu_);
-          if (--prefetches_in_flight_ == 0) prefetch_cv_.notify_all();
+        decode_pool->Submit([this, drain, j] {
+          DeltaStore::FetchedRead& f = drain->fetched[j];
+          dg_.delta_store().DecodeFetched(&drain->reads[f.entry], &f);
+          Fulfil(drain->reads[f.entry], &drain->claims[f.entry]);
+          EndPrefetch();
         });
       }
     }
     Drains().Add();
-    DrainWidth().Record(drained.size());
-    if (tc) {
-      drain_span.SetAttr("shard", static_cast<int64_t>(shard));
-      drain_span.SetAttr("queued", static_cast<int64_t>(drained.size()));
-      drain_span.SetAttr("claimed", static_cast<int64_t>(claimed_n));
-      drain_span.SetAttr("lru_hits", static_cast<int64_t>(lru_hits_n));
-      drain_span.SetAttr("kv_keys", static_cast<int64_t>(kv_keys_n));
-      drain_span.SetAttr("bytes", static_cast<int64_t>(bytes_n));
-      tc.trace->lru_hits.fetch_add(lru_hits_n, std::memory_order_relaxed);
-      tc.trace->lru_misses.fetch_add(claimed_n - lru_hits_n,
-                                     std::memory_order_relaxed);
-      tc.trace->kv_reads.fetch_add(kv_keys_n, std::memory_order_relaxed);
-      tc.trace->bytes_read.fetch_add(bytes_n, std::memory_order_relaxed);
-      tc.trace->bytes_decoded.fetch_add(bytes_n, std::memory_order_relaxed);
-    }
+    DrainWidth().Record(queued.size());
   }
   // One scheduled drain job ran (jobs and enqueues are 1:1, so the counter
   // drains exactly once per job even when one job takes the whole queue).
-  std::lock_guard<std::mutex> lock(prefetch_mu_);
-  if (--prefetches_in_flight_ == 0) prefetch_cv_.notify_all();
+  EndPrefetch();
 }
 
 void ExecFetchCache::BeginPrefetch() {
   std::lock_guard<std::mutex> lock(prefetch_mu_);
   ++prefetches_in_flight_;
+}
+
+void ExecFetchCache::EndPrefetch() {
+  std::lock_guard<std::mutex> lock(prefetch_mu_);
+  if (--prefetches_in_flight_ == 0) prefetch_cv_.notify_all();
 }
 
 void ExecFetchCache::WaitPrefetchesIdle() {

@@ -5,11 +5,15 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "common/types.h"
+#include "deltagraph/delta_store.h"
 #include "deltagraph/skeleton.h"
 #include "graph/delta.h"
 #include "obs/trace.h"
@@ -27,10 +31,13 @@ class TaskPool;
 /// The plan executor needs one pin shared across the threads that run a
 /// plan's subtrees, a session wants it shared across *plans*, and the
 /// prefetch pipeline wants to start fetches before any worker needs them.
-/// Every snapshot plan reads its deltas through one of these. Entries are
-/// keyed by (skeleton edge, components) and live for the cache's lifetime —
-/// unlike the DeltaStore's LRU underneath, nothing is evicted, so a pinned
-/// pointer stays valid without holding the lock.
+/// Every snapshot plan reads its deltas through one of these, and every read
+/// it makes — a worker's demand miss (a one-entry batch) or an I/O shard's
+/// drain — runs the same DeltaStore::FetchBatch → DecodeFetched pair, claim,
+/// fulfil and trace tally. Entries are keyed by (skeleton edge, components)
+/// and live for the cache's lifetime — unlike the DeltaStore's LRU
+/// underneath, nothing is evicted, so a pinned pointer stays valid without
+/// holding the lock.
 ///
 /// Concurrency: every slot is claimed exactly once (first-claimer-wins under
 /// the map lock) and holds a shared_future. The claimer — a prefetch job on
@@ -46,33 +53,37 @@ class TaskPool;
 /// src/exec/README.md.
 class ExecFetchCache {
  public:
+  /// Binds the cache to the one graph whose payloads it pins (a session holds
+  /// one cache per shard; an executor without a shared cache owns one). The
+  /// graph must outlive the cache.
+  explicit ExecFetchCache(const DeltaGraph& dg);
+
   /// Destruction waits for in-flight prefetch jobs (see BeginPrefetch), so
   /// owners may die with prefetches still queued on an IoPool.
   ~ExecFetchCache() { WaitPrefetchesIdle(); }
 
-  /// Returns the decoded delta for skeleton edge `e`, fetching it if no
-  /// prefetch ever claimed the slot, or blocking on the in-flight fetch if
-  /// one did. The edge is passed by value-semantics reference (resolved by
-  /// the caller against *its* pinned frontier's skeleton) so the cache never
+  const DeltaGraph& graph() const { return dg_; }
+
+  /// Returns the decoded payload (T = Delta for an interior edge, EventList
+  /// for a leaf-eventlist edge) of skeleton edge `e`, fetching it as a
+  /// one-entry DeltaStore batch if no prefetch ever claimed the slot, or
+  /// blocking on the in-flight fetch if one did. The edge is resolved by the
+  /// caller against *its* pinned frontier's skeleton, so the cache never
   /// reads the live skeleton — payloads are immutable and never deleted, so
   /// an entry fetched under one epoch is valid under every later one.
-  Result<std::shared_ptr<const Delta>> GetDelta(const DeltaGraph& dg,
-                                                const SkeletonEdge& e,
-                                                unsigned components);
-  Result<std::shared_ptr<const EventList>> GetEventList(const DeltaGraph& dg,
-                                                        const SkeletonEdge& e,
-                                                        unsigned components);
+  template <typename T>
+  Result<std::shared_ptr<const T>> Get(const SkeletonEdge& e, unsigned components);
 
   /// Queues one fetch for I/O shard `shard`'s next drain. The scheduler pairs
   /// each enqueue with one BeginPrefetch and one DrainPrefetchBatch job
   /// submitted to that IoPool shard. The edge's delta id and sizes are
   /// captured here, so the drain job never touches a (possibly newer) live
   /// skeleton.
-  void EnqueuePrefetch(const DeltaGraph& dg, size_t shard, const SkeletonEdge& e,
-                       bool is_eventlist, unsigned components);
+  void EnqueuePrefetch(size_t shard, const SkeletonEdge& e, bool is_eventlist,
+                       unsigned components);
 
-  /// Drains everything queued for `shard` into one batched DeltaStore read —
-  /// one storage round-trip per wakeup, however many deltas were queued while
+  /// Drains everything queued for `shard` into one DeltaStore batch — one
+  /// storage round-trip per wakeup, however many deltas were queued while
   /// the shard was busy. Runs on an IoPool shard thread; a wakeup whose queue
   /// was already taken by an earlier drain is a no-op. Slots another claimer
   /// already owns are skipped (single-flight; the owner fulfils them). With a
@@ -113,7 +124,28 @@ class ExecFetchCache {
 
  private:
   template <typename T>
-  using FetchFuture = std::shared_future<Result<std::shared_ptr<const T>>>;
+  using FetchResult = Result<std::shared_ptr<const T>>;
+  template <typename T>
+  using FetchFuture = std::shared_future<FetchResult<T>>;
+  template <typename T>
+  using SlotMap = std::unordered_map<uint64_t, FetchFuture<T>>;
+
+  /// A slot won by the caller: it owes the slot one fulfilment. Exactly one
+  /// promise engages (a promise allocates its shared state, so only the kind
+  /// this read needs is constructed).
+  struct Claim {
+    uint64_t key = 0;
+    std::optional<std::promise<FetchResult<Delta>>> delta;
+    std::optional<std::promise<FetchResult<EventList>>> events;
+  };
+
+  /// The reads one drain claimed, in a shared_ptr so decode jobs scheduled on
+  /// the compute pool can outlive the drain's stack frame.
+  struct Drain {
+    std::vector<DeltaStore::BatchedRead> reads;
+    std::vector<Claim> claims;  ///< claims[i] owns reads[i]'s slot.
+    std::vector<DeltaStore::FetchedRead> fetched;
+  };
 
   // Components fit in 4 bits (kCompAll == 0xF).
   static uint64_t Key(int32_t edge, unsigned components) {
@@ -121,35 +153,46 @@ class ExecFetchCache {
            (components & 0xF);
   }
 
-  /// Claims the slot for `key` (returning an unset promise-backed future and
-  /// claimed=true) or returns the existing future (claimed=false).
   template <typename T>
-  FetchFuture<T> ClaimOrGet(std::unordered_map<uint64_t, FetchFuture<T>>* map,
-                            uint64_t key, std::promise<Result<std::shared_ptr<const T>>>* promise,
-                            bool* claimed);
+  SlotMap<T>& Slots();
+
+  /// Claims the slot for `claim->key` (engaging the claim's promise; returns
+  /// its future and claimed=true) or returns the existing future
+  /// (claimed=false).
+  template <typename T>
+  FetchFuture<T> ClaimOrGet(Claim* claim, bool* claimed);
 
   /// Drops a slot whose fetch failed so a later caller can retry (current
   /// waiters still observe the error through their future).
   template <typename T>
-  void ReleaseFailedSlot(std::unordered_map<uint64_t, FetchFuture<T>>* map,
-                         uint64_t key);
+  void ReleaseFailedSlot(uint64_t key);
 
-  /// One copy of the claim/fetch/fulfil/release-on-failure protocol (see the
-  /// class comment); `fetch` runs outside any lock when the claim is won.
-  template <typename T, typename FetchFn>
-  Result<std::shared_ptr<const T>> FetchSingleFlight(
-      std::unordered_map<uint64_t, FetchFuture<T>>* map, uint64_t key,
-      bool wait_if_claimed, FetchFn fetch);
+  /// The fetch every read shares: one DeltaStore::FetchBatch round-trip for
+  /// `reads`, booked onto `span` and the trace tallies.
+  void Fetch(std::span<DeltaStore::BatchedRead> reads,
+             std::vector<DeltaStore::FetchedRead>* fetched, obs::ScopedSpan* span,
+             const obs::TraceCtx& tc) const;
+
+  /// Publishes a resolved read through its claimed slot's future, dropping
+  /// the slot on failure.
+  void Fulfil(const DeltaStore::BatchedRead& read, Claim* claim);
+
+  /// Decodes every fetched miss of `reads` on the calling thread, then
+  /// fulfils each read's claim (claims[i] owns reads[i]).
+  void DecodeAndFulfil(std::span<DeltaStore::BatchedRead> reads, std::span<Claim> claims,
+                       std::vector<DeltaStore::FetchedRead>* fetched);
+
+  /// Marks one registered prefetch job (drain or decode) finished.
+  void EndPrefetch();
+
+  const DeltaGraph& dg_;
 
   std::shared_mutex mu_;
-  std::unordered_map<uint64_t, FetchFuture<Delta>> deltas_;
-  std::unordered_map<uint64_t, FetchFuture<EventList>> events_;
+  SlotMap<Delta> deltas_;
+  SlotMap<EventList> events_;
 
-  /// One queued (not yet drained) prefetch. The DeltaGraph pointer rides
-  /// along because a cache outlives plans and could in principle serve more
-  /// than one graph; the drain groups reads per graph.
+  /// One queued (not yet drained) prefetch.
   struct QueuedPrefetch {
-    const DeltaGraph* dg;
     int32_t edge;        ///< Skeleton edge id (cache key only).
     DeltaId delta_id;    ///< Storage id, captured at enqueue time.
     ComponentSizes sizes;

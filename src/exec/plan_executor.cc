@@ -11,12 +11,12 @@ namespace hgdb {
 PlanExecutor::PlanExecutor(const DeltaGraph* dg, FrontierPtr frontier,
                            unsigned components, TaskPool* pool,
                            ExecFetchCache* shared_cache, IoPool* io_pool)
-    : dg_(dg),
-      frontier_(std::move(frontier)),
+    : frontier_(std::move(frontier)),
       components_(components),
       pool_(pool),
       io_pool_(io_pool),
-      fetches_(shared_cache != nullptr ? shared_cache : &own_cache_) {
+      fetches_(shared_cache != nullptr ? shared_cache : &own_cache_),
+      own_cache_(*dg) {
   // Our own cache can offload blob decode to the compute pool (a shared
   // cache's owner decides for itself; a serial pool keeps decode inline).
   own_cache_.SetDecodePool(pool_);
@@ -50,6 +50,7 @@ bool PlanExecutor::Begin(const Plan& plan) {
   }
   if (tc_) {
     exec_span_ = tc_.trace->BeginSpan("execute", tc_.span);
+    if (shard_ >= 0) tc_.trace->SetAttr(exec_span_, "shard", shard_);
     // Nest this execution's fetches under its span — but only through a cache
     // we own; a shared cache already carries its owner's attachment.
     if (fetches_ == &own_cache_) {
@@ -60,8 +61,7 @@ bool PlanExecutor::Begin(const Plan& plan) {
   // tasks then overlap apply work with the I/O pool's fetches and block
   // only if they outrun it. The fetch cache outlives any still-queued job
   // (its destructor drains), so early errors cannot strand a prefetch.
-  StartPlanPrefetch(*dg_, *frontier_->skeleton, plan, components_, fetches_,
-                    io_pool_);
+  StartPlanPrefetch(*frontier_->skeleton, plan, components_, fetches_, io_pool_);
   return true;
 }
 
@@ -123,14 +123,14 @@ Status PlanExecutor::ApplyStepTo(const PlanStep& step, Snapshot* snap) {
       *snap = frontier_->current->CopyFiltered(components_);
       return Status::OK();
     case PlanStep::Kind::kApplyDelta: {
-      auto d = fetches_->GetDelta(*dg_, frontier_->skeleton->edge(step.edge),
-                                  components_);
+      auto d = fetches_->Get<Delta>(frontier_->skeleton->edge(step.edge),
+                                    components_);
       if (!d.ok()) return d.status();
       return d.value()->ApplyTo(snap, step.forward, components_);
     }
     case PlanStep::Kind::kApplyEvents: {
-      auto el = fetches_->GetEventList(*dg_, frontier_->skeleton->edge(step.edge),
-                                       components_);
+      auto el = fetches_->Get<EventList>(frontier_->skeleton->edge(step.edge),
+                                         components_);
       if (!el.ok()) return el.status();
       return ApplyEventRange(el.value()->events(), snap, step.forward, step.lo,
                              step.hi, components_);

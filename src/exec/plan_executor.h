@@ -41,7 +41,7 @@ class PlanExecutor {
   /// `frontier` (not null) is the pinned epoch this execution reads at; the
   /// plan must have been built from the same frontier. `pool` runs sibling
   /// subtrees and must not be null (DeltaGraph::ResolveTaskPool never is).
-  /// `shared_cache` (optional) lets a session share decoded fetches across
+  /// `shared_cache` (optional, bound to `dg`) lets a session share fetches across
   /// several concurrent plans; by default the executor uses a private cache
   /// pinned for this plan only. Both must outlive the execution. `io_pool`
   /// (optional) enables asynchronous prefetch: execution starts by
@@ -69,8 +69,13 @@ class PlanExecutor {
   /// (closed by TakeStatus) carrying the task count and busy time, and — when
   /// the executor owns its cache — prefetch drains and demand fetches nest
   /// under the span. Call before Run/Start; with a shared cache the cache's
-  /// owner attaches its own trace. No-op for a null trace.
-  void SetTrace(obs::TraceCtx tc) { tc_ = tc; }
+  /// owner attaches its own trace. No-op for a null trace. A non-negative
+  /// `shard` labels the span (`shard=<s>`), so a session's trace can name
+  /// the slow shard of a request.
+  void SetTrace(obs::TraceCtx tc, int64_t shard = -1) {
+    tc_ = tc;
+    shard_ = shard;
+  }
 
   /// Total nanoseconds this execution's tasks spent running (accumulated
   /// only when a trace is attached). Sessions compare this across shards to
@@ -92,7 +97,6 @@ class PlanExecutor {
   void EmitTime(Timestamp t, Snapshot snap);
   void EmitNode(int32_t node, Snapshot snap);
 
-  const DeltaGraph* dg_;
   const FrontierPtr frontier_;  ///< Pinned epoch; all graph state reads go here.
   const unsigned components_;
   TaskPool* pool_;
@@ -113,6 +117,7 @@ class PlanExecutor {
   // by TakeStatus, which both run on the submitting thread; tasks only bump
   // the (relaxed) tallies.
   obs::TraceCtx tc_;
+  int64_t shard_ = -1;
   obs::SpanId exec_span_ = obs::kNoSpan;
   std::atomic<uint64_t> busy_ns_{0};
   std::atomic<uint32_t> task_count_{0};

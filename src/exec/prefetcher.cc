@@ -40,14 +40,13 @@ std::vector<PlanFetch> CollectPlanFetches(const Plan& plan) {
   return out;
 }
 
-void StartPlanPrefetch(const DeltaGraph& dg, const Skeleton& skel, const Plan& plan,
-                       unsigned components, ExecFetchCache* cache, IoPool* io) {
+void StartPlanPrefetch(const Skeleton& skel, const Plan& plan, unsigned components,
+                       ExecFetchCache* cache, IoPool* io) {
   if (io == nullptr || cache == nullptr) return;
-  StartCollectedPrefetch(dg, skel, CollectPlanFetches(plan), components, cache, io);
+  StartCollectedPrefetch(skel, CollectPlanFetches(plan), components, cache, io);
 }
 
-void StartCollectedPrefetch(const DeltaGraph& dg, const Skeleton& skel,
-                            const std::vector<PlanFetch>& fetches,
+void StartCollectedPrefetch(const Skeleton& skel, const std::vector<PlanFetch>& fetches,
                             unsigned components, ExecFetchCache* cache, IoPool* io) {
   // Fewer than two fetches leave nothing to overlap: the executor blocks on
   // the first fetch either way, so it fetches on demand without the queue
@@ -55,7 +54,7 @@ void StartCollectedPrefetch(const DeltaGraph& dg, const Skeleton& skel,
   // materialized node).
   if (io == nullptr || cache == nullptr || fetches.size() < 2) return;
   // Fetches are queued per I/O shard and each shard wakeup drains its whole
-  // queue into one DeltaStore::GetBatch (one storage round-trip per *batch*):
+  // queue into one DeltaStore::FetchBatch (one storage round-trip per *batch*):
   // all the fetches that pile up while a shard sleeps through a simulated
   // seek coalesce into the next round-trip instead of paying one each.
   // A graph pinned to an I/O lane (SetIoLane: one lane per partition of a
@@ -63,14 +62,14 @@ void StartCollectedPrefetch(const DeltaGraph& dg, const Skeleton& skel,
   // partitions drain on distinct I/O threads and their pipelines overlap;
   // otherwise fetches spread across shards by delta id.
   const auto shards = static_cast<uint64_t>(io->parallelism());
-  const int lane = dg.io_lane();
+  const int lane = cache->graph().io_lane();
   for (const PlanFetch& fetch : fetches) {
     const SkeletonEdge& e = skel.edge(fetch.edge);
     const size_t shard = lane >= 0
                              ? static_cast<size_t>(lane) % shards
                              : static_cast<size_t>(e.delta_id % shards);
     cache->BeginPrefetch();
-    cache->EnqueuePrefetch(dg, shard, e, fetch.is_eventlist, components);
+    cache->EnqueuePrefetch(shard, e, fetch.is_eventlist, components);
     io->Submit(shard, [cache, shard] { cache->DrainPrefetchBatch(shard); });
   }
 }

@@ -8,7 +8,6 @@
 
 namespace hgdb {
 
-class DeltaGraph;
 class ExecFetchCache;
 class IoPool;
 class Skeleton;
@@ -34,15 +33,14 @@ std::vector<PlanFetch> CollectPlanFetches(const Plan& plan);
 /// concurrent leaf cut cannot skew a fetch. Returns
 /// immediately: workers that reach an edge before its fetch lands block on
 /// the cache's future (they only ever wait if they outrun the prefetcher).
-/// The jobs reference `dg` and `cache`, which must stay alive until the
-/// cache drains (~ExecFetchCache waits; `plan` and `skel` are not referenced
-/// after this call returns). No-op when `io` is null.
-void StartPlanPrefetch(const DeltaGraph& dg, const Skeleton& skel, const Plan& plan,
-                       unsigned components, ExecFetchCache* cache, IoPool* io);
+/// The jobs reference `cache` and the graph it is bound to, which must stay
+/// alive until the cache drains (~ExecFetchCache waits; `plan` and `skel`
+/// are not referenced after this call returns). No-op when `io` is null.
+void StartPlanPrefetch(const Skeleton& skel, const Plan& plan, unsigned components,
+                       ExecFetchCache* cache, IoPool* io);
 
 /// Same, over an already-collected fetch list.
-void StartCollectedPrefetch(const DeltaGraph& dg, const Skeleton& skel,
-                            const std::vector<PlanFetch>& fetches,
+void StartCollectedPrefetch(const Skeleton& skel, const std::vector<PlanFetch>& fetches,
                             unsigned components, ExecFetchCache* cache, IoPool* io);
 
 }  // namespace hgdb

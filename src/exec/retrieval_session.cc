@@ -40,7 +40,7 @@ RetrievalSession::RetrievalSession(std::vector<const DeltaGraph*> shards,
     trace_->set_query_label("session");
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    caches_.push_back(std::make_unique<ExecFetchCache>());
+    caches_.push_back(std::make_unique<ExecFetchCache>(*shards_[s]));
     caches_.back()->SetDecodePool(pool_);
     if (trace_ != nullptr) {
       // Every fetch through the shard's pin — whichever request triggered
@@ -106,7 +106,7 @@ RetrievalSession::Request* RetrievalSession::Submit(std::vector<Timestamp> times
     // Executors get no I/O pool: step 3 queues their prefetch.
     run.executor = std::make_unique<PlanExecutor>(
         shards_[s], frontier, components, pool_, caches_[s].get(), /*io_pool=*/nullptr);
-    run.executor->SetTrace(tc);
+    run.executor->SetTrace(tc, static_cast<int64_t>(s));
   }
   if (trace_ != nullptr) {
     trace_->SetAttr(req->span, "steps", steps);
@@ -119,8 +119,8 @@ RetrievalSession::Request* RetrievalSession::Submit(std::vector<Timestamp> times
   // single-flight slots dedup fetches across requests.
   for (size_t s = 0; s < n; ++s) {
     if (req->runs[s].executor == nullptr) continue;
-    StartPlanPrefetch(*shards_[s], *req->frontiers[s]->skeleton, req->runs[s].plan,
-                      components, caches_[s].get(), shards_[s]->ResolveIoPool());
+    StartPlanPrefetch(*req->frontiers[s]->skeleton, req->runs[s].plan, components,
+                      caches_[s].get(), shards_[s]->ResolveIoPool());
   }
 
   // 4. One task tree per shard, all in the session's group: shard subtrees
@@ -186,8 +186,13 @@ Status RetrievalSession::Wait() {
     if (!req->runs.empty()) Collect(req.get());
     if (first_error.ok() && !req->result.ok()) first_error = req->result.status();
   }
-  if (trace_ != nullptr && !trace_dumped_) {
-    trace_dumped_ = true;
+  if (finished_) return first_error;
+  finished_ = true;
+  obs::TraceSampler::Global().Observe(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - started_)
+          .count()));
+  if (trace_ != nullptr) {
     for (obs::SpanId s : shard_spans_) trace_->EndSpan(s);
     // Stamp the query's identity for the flight recorder: the newest request's
     // pinned frontiers — the max shard epoch, events summed over shards.

@@ -1,6 +1,7 @@
 #ifndef HISTGRAPH_EXEC_RETRIEVAL_SESSION_H_
 #define HISTGRAPH_EXEC_RETRIEVAL_SESSION_H_
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -127,7 +128,11 @@ class RetrievalSession {
   /// Declared before caches_ so in-flight prefetch drains (waited out by the
   /// caches' destructors) never outlive the trace they attribute to.
   std::unique_ptr<obs::QueryTrace> trace_;
-  bool trace_dumped_ = false;
+  /// The session is one query to the TraceSampler: it sampled at
+  /// construction, and its first Wait feeds the latency back (and dumps the
+  /// trace) exactly once.
+  std::chrono::steady_clock::time_point started_ = std::chrono::steady_clock::now();
+  bool finished_ = false;
   /// Session-lifetime span per shard; the shard's fetch pin attributes its
   /// drains and demand fetches here. Closed by the first Wait.
   std::vector<obs::SpanId> shard_spans_;

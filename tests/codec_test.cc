@@ -550,22 +550,31 @@ TEST(CodecKvTest, KvLayerStoresCodecBlobsRaw) {
   EXPECT_EQ(back, blob);
 }
 
+// One read through the store's batch path (the only read path it has).
+DeltaStore::BatchedRead ReadOne(const DeltaStore& ds, DeltaId id, unsigned components,
+                                const ComponentSizes& sizes, bool is_eventlist) {
+  DeltaStore::BatchedRead read(id, components, sizes, is_eventlist);
+  ds.GetBatch({&read, 1});
+  return read;
+}
+
 TEST(CodecKvTest, DeltaStoreRoundTripsThroughKvStore) {
   auto store = NewMemKVStore();
   DeltaStore ds(store.get());
   const Delta d = FixtureDelta();
   ComponentSizes sizes;
   ASSERT_TRUE(ds.PutDelta(1, d, &sizes).ok());
-  Delta back;
-  ASSERT_TRUE(ds.GetDelta(1, kCompAll, sizes, &back).ok());
-  EXPECT_TRUE(back == d);
+  const DeltaStore::BatchedRead back = ReadOne(ds, 1, kCompAll, sizes, false);
+  ASSERT_TRUE(back.status.ok());
+  EXPECT_TRUE(*back.delta == d);
 
   const EventList el = FixtureEvents();
   ASSERT_TRUE(ds.PutEventList(2, el, &sizes).ok());
-  EventList el_back;
-  ASSERT_TRUE(ds.GetEventList(2, kCompAllWithTransient, sizes, &el_back).ok());
-  ASSERT_EQ(el_back.size(), el.size());
-  for (size_t i = 0; i < el.size(); ++i) EXPECT_EQ(el_back[i], el[i]);
+  const DeltaStore::BatchedRead el_back =
+      ReadOne(ds, 2, kCompAllWithTransient, sizes, true);
+  ASSERT_TRUE(el_back.status.ok());
+  ASSERT_EQ(el_back.events->size(), el.size());
+  for (size_t i = 0; i < el.size(); ++i) EXPECT_EQ((*el_back.events)[i], el[i]);
 }
 
 TEST(CodecKvTest, GetBatchMixesHitsMissesAndErrors) {
@@ -578,8 +587,7 @@ TEST(CodecKvTest, GetBatchMixesHitsMissesAndErrors) {
   ASSERT_TRUE(ds.PutEventList(2, el, &el_sizes).ok());
 
   // Warm the decoded LRU with the delta only.
-  Delta warm;
-  ASSERT_TRUE(ds.GetDelta(1, kCompAll, d_sizes, &warm).ok());
+  ASSERT_TRUE(ReadOne(ds, 1, kCompAll, d_sizes, false).status.ok());
 
   const size_t mg_before = ds.batched_multigets();
   std::vector<DeltaStore::BatchedRead> batch(3);
@@ -593,7 +601,7 @@ TEST(CodecKvTest, GetBatchMixesHitsMissesAndErrors) {
   batch[2].id = 99;  // Never stored, but sizes claim bytes: NotFound.
   batch[2].components = kCompStruct;
   batch[2].sizes.bytes[0] = 10;
-  ds.GetBatch(&batch);
+  ds.GetBatch(batch);
 
   ASSERT_TRUE(batch[0].status.ok());
   ASSERT_NE(batch[0].delta, nullptr);
@@ -610,7 +618,7 @@ TEST(CodecKvTest, GetBatchMixesHitsMissesAndErrors) {
   hits[0].components = kCompAllWithTransient;
   hits[0].sizes = el_sizes;
   hits[0].is_eventlist = true;
-  ds.GetBatch(&hits);
+  ds.GetBatch(hits);
   ASSERT_TRUE(hits[0].status.ok());
   EXPECT_EQ(ds.batched_multigets(), mg_before + 1);
 }

@@ -51,10 +51,17 @@ void* operator new(size_t size, std::align_val_t align) {
   if (posix_memalign(&p, a, size) == 0) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, size_t, std::align_val_t) noexcept { std::free(p); }
+// The deletes stay out of line: inlined into a caller, GCC pairs the
+// `new` expression it sees there with this body's free() and reports
+// -Wmismatched-new-delete, although the two replacements do match.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace hgdb {
 namespace {
@@ -827,6 +834,16 @@ TEST(FlatHashTest, NonTrivialValuesCopyAndDestroyCleanly) {
 // DeltaStore decoded-object LRU
 // ---------------------------------------------------------------------------
 
+// One delta read through the store's batch path.
+Result<std::shared_ptr<const Delta>> ReadDelta(const DeltaStore& store, DeltaId id,
+                                               unsigned components,
+                                               const ComponentSizes& sizes) {
+  DeltaStore::BatchedRead read(id, components, sizes, /*is_eventlist=*/false);
+  store.GetBatch({&read, 1});
+  if (!read.status.ok()) return read.status;
+  return read.delta;
+}
+
 TEST(DeltaStoreCacheTest, RepeatedGetHitsCacheAndSharesDecode) {
   auto kv = NewMemKVStore();
   DeltaStore store(kv.get());
@@ -838,23 +855,23 @@ TEST(DeltaStoreCacheTest, RepeatedGetHitsCacheAndSharesDecode) {
   const DeltaId id = store.AllocateId();
   ASSERT_TRUE(store.PutDelta(id, d, &sizes).ok());
 
-  auto first = store.GetDeltaShared(id, kCompAll, sizes);
+  auto first = ReadDelta(store, id, kCompAll, sizes);
   ASSERT_TRUE(first.ok());
-  auto second = store.GetDeltaShared(id, kCompAll, sizes);
+  auto second = ReadDelta(store, id, kCompAll, sizes);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value().get(), second.value().get()) << "expected a cache hit";
   EXPECT_GE(store.decoded_cache_hits(), 1u);
   EXPECT_TRUE(*first.value() == d);
 
   // Different component masks are distinct cache entries.
-  auto structs = store.GetDeltaShared(id, kCompStruct, sizes);
+  auto structs = ReadDelta(store, id, kCompStruct, sizes);
   ASSERT_TRUE(structs.ok());
   EXPECT_NE(structs.value().get(), first.value().get());
   EXPECT_TRUE(structs.value()->add_node_attrs.empty());
 
   // Re-putting the id invalidates its cached decodes.
   ASSERT_TRUE(store.PutDelta(id, Delta(), &sizes).ok());
-  auto after = store.GetDeltaShared(id, kCompAll, sizes);
+  auto after = ReadDelta(store, id, kCompAll, sizes);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after.value()->IsEmpty());
 }
@@ -870,19 +887,19 @@ TEST(DeltaStoreCacheTest, PutInvalidatesOnlyItsOwnId) {
   ASSERT_TRUE(store.PutDelta(b, d, &sizes_b).ok());
   // Cache both ids under several component masks.
   for (unsigned comps : {unsigned{kCompAll}, unsigned{kCompStruct}}) {
-    ASSERT_TRUE(store.GetDeltaShared(a, comps, sizes_a).ok());
-    ASSERT_TRUE(store.GetDeltaShared(b, comps, sizes_b).ok());
+    ASSERT_TRUE(ReadDelta(store, a, comps, sizes_a).ok());
+    ASSERT_TRUE(ReadDelta(store, b, comps, sizes_b).ok());
   }
   // A put of a fresh id (the builder's case) and a re-put of `a` leave b's
   // decodes cached.
   ASSERT_TRUE(store.PutDelta(store.AllocateId(), d, &sizes_a).ok());
   ASSERT_TRUE(store.PutDelta(a, Delta(), &sizes_a).ok());
   const size_t hits = store.decoded_cache_hits();
-  ASSERT_TRUE(store.GetDeltaShared(b, kCompAll, sizes_b).ok());
-  ASSERT_TRUE(store.GetDeltaShared(b, kCompStruct, sizes_b).ok());
+  ASSERT_TRUE(ReadDelta(store, b, kCompAll, sizes_b).ok());
+  ASSERT_TRUE(ReadDelta(store, b, kCompStruct, sizes_b).ok());
   EXPECT_EQ(store.decoded_cache_hits(), hits + 2);
   for (unsigned comps : {unsigned{kCompAll}, unsigned{kCompStruct}}) {
-    auto after = store.GetDeltaShared(a, comps, sizes_a);
+    auto after = ReadDelta(store, a, comps, sizes_a);
     ASSERT_TRUE(after.ok());
     EXPECT_TRUE(after.value()->IsEmpty());
   }
@@ -899,8 +916,8 @@ TEST(DeltaStoreCacheTest, CapacityZeroDisables) {
   ComponentSizes sizes;
   const DeltaId id = store.AllocateId();
   ASSERT_TRUE(store.PutDelta(id, d, &sizes).ok());
-  auto first = store.GetDeltaShared(id, kCompAll, sizes);
-  auto second = store.GetDeltaShared(id, kCompAll, sizes);
+  auto first = ReadDelta(store, id, kCompAll, sizes);
+  auto second = ReadDelta(store, id, kCompAll, sizes);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_NE(first.value().get(), second.value().get());

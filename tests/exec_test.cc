@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_set>
 
 #include "deltagraph/delta_graph.h"
 #include "deltagraph/partitioned_delta_graph.h"
+#include "exec/fetch_cache.h"
 #include "exec/io_pool.h"
 #include "exec/prefetcher.h"
 #include "exec/retrieval_session.h"
@@ -405,6 +409,179 @@ TEST(PrefetchTest, SessionWithPrefetchMatchesBlockingRetrieval) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fetch failure and retry through one ExecFetchCache
+// ---------------------------------------------------------------------------
+
+/// Passes everything through to a MemKVStore, except that once armed it fails
+/// every key of the next MultiGet with IOError. With `gated`, that MultiGet
+/// first reports it has started and then blocks until Open().
+class FailOnceKVStore : public KVStore {
+ public:
+  FailOnceKVStore() : base_(NewMemKVStore()) {}
+
+  void FailNextMultiGet(bool gated) {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+    gated_ = gated;
+    entered_ = false;
+  }
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    gated_ = false;
+    cv_.notify_all();
+  }
+
+  Status Put(const Slice& key, const Slice& value) override {
+    return base_->Put(key, value);
+  }
+  Status Get(const Slice& key, std::string* value) const override {
+    return base_->Get(key, value);
+  }
+  Status Delete(const Slice& key) override { return base_->Delete(key); }
+  Status Write(const WriteBatch& batch) override { return base_->Write(batch); }
+  void MultiGet(const std::vector<Slice>& keys, std::vector<std::string>* values,
+                std::vector<Status>* statuses) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_) {
+        armed_ = false;
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return !gated_; });
+        values->assign(keys.size(), std::string());
+        statuses->assign(keys.size(), Status::IOError("injected MultiGet failure"));
+        return;
+      }
+    }
+    base_->MultiGet(keys, values, statuses);
+  }
+  bool Contains(const Slice& key) const override { return base_->Contains(key); }
+  void ForEachKey(const Slice& prefix,
+                  const std::function<void(const Slice&)>& fn) const override {
+    base_->ForEachKey(prefix, fn);
+  }
+  size_t KeyCount() const override { return base_->KeyCount(); }
+  size_t ValueBytes() const override { return base_->ValueBytes(); }
+  Status Sync() override { return base_->Sync(); }
+
+ private:
+  std::unique_ptr<KVStore> base_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool armed_ = false;
+  mutable bool gated_ = false;
+  mutable bool entered_ = false;
+};
+
+Status FetchEdge(ExecFetchCache* cache, const SkeletonEdge& e) {
+  if (e.is_eventlist) return cache->Get<EventList>(e, kCompAll).status();
+  return cache->Get<Delta>(e, kCompAll).status();
+}
+
+// A failed fetch reaches the Get that waited on it, and releases its slot so
+// the next Get through the same cache fetches again and succeeds — whether
+// the failed read was the Get's own one-entry demand batch or an I/O drain.
+TEST(FetchCacheTest, FailedFetchReturnsErrorAndRetrySucceeds) {
+  RandomTraceOptions topts;
+  topts.num_events = 1500;
+  topts.seed = 61;
+  const std::vector<Event> events = GenerateRandomTrace(topts).events;
+  FailOnceKVStore store;
+  DeltaGraphOptions opts;
+  opts.leaf_size = 60;
+  opts.arity = 2;
+  auto dg = DeltaGraph::Create(&store, opts);
+  ASSERT_TRUE(dg.ok());
+  ASSERT_TRUE((*dg)->AppendAll(events).ok());
+  ASSERT_TRUE((*dg)->Finalize().ok());
+  (*dg)->SetDecodedCacheCapacity(0);  // Every Get reaches the store.
+
+  auto plan = (*dg)->PlanFor({events[events.size() / 3].time, events.back().time});
+  ASSERT_TRUE(plan.ok());
+  // Only fetches that read at least one key: then the first one queued is
+  // in the first drain's MultiGet, where the injected failure lands.
+  const Skeleton& skel = (*dg)->skeleton();
+  std::vector<PlanFetch> fetches;
+  for (const PlanFetch& f : CollectPlanFetches(plan.value())) {
+    if (skel.edge(f.edge).sizes.TotalBytes(kCompAll) > 0) fetches.push_back(f);
+  }
+  ASSERT_GE(fetches.size(), 2u);
+  const SkeletonEdge& first = skel.edge(fetches[0].edge);
+
+  {
+    SCOPED_TRACE("demand");
+    ExecFetchCache cache(**dg);
+    store.FailNextMultiGet(/*gated=*/false);
+    EXPECT_TRUE(FetchEdge(&cache, first).IsIOError());
+    EXPECT_TRUE(FetchEdge(&cache, first).ok());
+  }
+  {
+    SCOPED_TRACE("drained");
+    IoPool io(1);
+    ExecFetchCache cache(**dg);
+    obs::QueryTrace trace;
+    cache.SetTrace(obs::TraceCtx{&trace, obs::kNoSpan});
+    store.FailNextMultiGet(/*gated=*/true);
+    StartCollectedPrefetch(skel, fetches, kCompAll, &cache, &io);
+    store.WaitEntered();  // The drain has claimed `first` and is fetching it.
+    Status seen;
+    std::thread waiter([&] { seen = FetchEdge(&cache, first); });
+    // Open the store only once the waiter holds the drain's future.
+    while (trace.fetches_prefetched.load() == 0) std::this_thread::yield();
+    store.Open();
+    waiter.join();
+    EXPECT_TRUE(seen.IsIOError()) << seen.ToString();
+    cache.WaitPrefetchesIdle();
+    EXPECT_TRUE(FetchEdge(&cache, first).ok());
+    EXPECT_EQ(trace.fetches_demand.load(), 1u);  // The retry.
+  }
+}
+
+// Every per-shard "execute" span of a session request names its shard, so a
+// trace can point at the slow one.
+TEST(RetrievalSessionTest, ExecuteSpansNameTheirShard) {
+  const bool was_tracing = obs::TraceEnabled();
+  obs::SetTraceEnabled(true);
+  constexpr size_t kShards = 3;
+  ShardedIndex index = BuildShardedIndex(kShards, 2024, 8000);
+  for (size_t s = 0; s < kShards; ++s) {
+    ASSERT_FALSE(index.pdg->partition(s)->skeleton().leaves().empty())
+        << "shard " << s << " would replay without an executor";
+  }
+  test::SeededRng rng(41);
+  TaskPool pool(2);
+  auto session = index.NewSession(&pool);
+  std::vector<RetrievalSession::Request*> requests;
+  for (int i = 0; i < 2; ++i) {
+    requests.push_back(session->Submit(test::RandomTimes(rng, index.events, 3)));
+  }
+  ASSERT_TRUE(session->Wait().ok());
+  obs::SetTraceEnabled(was_tracing);
+  const obs::QueryTrace* trace = session->LastTrace();
+  ASSERT_NE(trace, nullptr);
+
+  const std::vector<obs::QueryTrace::Span> spans = trace->Spans();
+  size_t request_spans = 0;
+  for (const auto& request : spans) {
+    if (request.name != "request") continue;
+    ++request_spans;
+    std::vector<int64_t> shards;
+    for (const auto& span : spans) {
+      if (span.name == "execute" && span.parent == request.id) {
+        shards.push_back(IntAttr(span, "shard"));
+      }
+    }
+    std::sort(shards.begin(), shards.end());
+    EXPECT_EQ(shards, (std::vector<int64_t>{0, 1, 2}));
+  }
+  EXPECT_EQ(request_spans, requests.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -59,10 +59,17 @@ void* operator new(size_t size, std::align_val_t align) {
   if (posix_memalign(&p, a, size) == 0) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, size_t, std::align_val_t) noexcept { std::free(p); }
+// The deletes stay out of line: inlined into a caller, GCC pairs the
+// `new` expression it sees there with this body's free() and reports
+// -Wmismatched-new-delete, although the two replacements do match.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace hgdb {
 namespace {
@@ -430,46 +437,64 @@ uint64_t SumSpanKvKeys(const obs::QueryTrace& trace) {
 }
 
 TEST(TraceTest, EveryKvReadLandsInExactlyOneSpan) {
-  ObsGateGuard guard;
-  obs::SetMetricsEnabled(true);
-  auto store = std::make_unique<CountingKVStore>(NewMemKVStore());
-  CountingKVStore* counting = store.get();
-  const std::vector<Event> events = SmallTrace(8101);
-  auto dg = BuildSmallIndex(store.get(), events);
+  // Prefetch off sends every read through the demand path (one-entry
+  // batches); prefetch on sends them through I/O-shard drains as well. Both
+  // go through the one DeltaStore fetch, and the accounting must hold for
+  // each.
+  for (const bool prefetch : {false, true}) {
+    SCOPED_TRACE(prefetch ? "prefetch on" : "prefetch off");
+    ObsGateGuard guard;
+    obs::SetMetricsEnabled(true);
+    auto store = std::make_unique<CountingKVStore>(NewMemKVStore());
+    CountingKVStore* counting = store.get();
+    const std::vector<Event> events = SmallTrace(8101);
+    auto dg = BuildSmallIndex(store.get(), events);
+    IoPool io(2);
+    dg->SetIoPool(prefetch ? &io : nullptr);
 
-  const Timestamp lo = events.front().time;
-  const Timestamp hi = events.back().time;
-  const std::vector<Timestamp> times = {lo + (hi - lo) / 4, lo + (hi - lo) / 2,
-                                        hi - (hi - lo) / 4};
+    const Timestamp lo = events.front().time;
+    const Timestamp hi = events.back().time;
+    const std::vector<Timestamp> times = {lo + (hi - lo) / 4, lo + (hi - lo) / 2,
+                                          hi - (hi - lo) / 4};
 
-  counting->ResetCount();
-  obs::QueryTrace trace;
-  auto result = dg->GetSnapshots(times, kCompAll,
-                                 obs::TraceCtx{&trace, obs::kNoSpan});
-  ASSERT_TRUE(result.ok());
-  trace.Finish();
+    counting->ResetCount();
+    obs::QueryTrace trace;
+    auto result = dg->GetSnapshots(times, kCompAll,
+                                   obs::TraceCtx{&trace, obs::kNoSpan});
+    ASSERT_TRUE(result.ok());
+    trace.Finish();
 
-  const uint64_t ground_truth = counting->keys_read();
-  ASSERT_GT(ground_truth, 0u) << "query never touched storage; test is vacuous";
-  // Span attribution, the query-wide tally, and the store's own count must
-  // all agree: every key read during the query is in exactly one span.
-  EXPECT_EQ(SumSpanKvKeys(trace), ground_truth);
-  EXPECT_EQ(trace.kv_reads.load(), ground_truth);
-  EXPECT_GT(trace.bytes_read.load(), 0u);
-  EXPECT_EQ(trace.fetches_total.load(),
-            trace.fetches_prefetched.load() + trace.fetches_demand.load());
+    const uint64_t ground_truth = counting->keys_read();
+    ASSERT_GT(ground_truth, 0u) << "query never touched storage; test is vacuous";
+    // Span attribution, the query-wide tally, and the store's own count must
+    // all agree: every key read during the query is in exactly one span.
+    EXPECT_EQ(SumSpanKvKeys(trace), ground_truth);
+    EXPECT_EQ(trace.kv_reads.load(), ground_truth);
+    EXPECT_GT(trace.bytes_read.load(), 0u);
+    EXPECT_EQ(trace.fetches_total.load(),
+              trace.fetches_prefetched.load() + trace.fetches_demand.load());
+    size_t drains = 0;
+    for (const auto& span : trace.Spans()) drains += span.name == "io.drain" ? 1 : 0;
+    if (prefetch) {
+      EXPECT_GT(trace.prefetch_issued.load(), 0u);
+      EXPECT_GT(drains, 0u);
+    } else {
+      EXPECT_EQ(trace.prefetch_issued.load(), 0u);
+      EXPECT_EQ(drains, 0u);
+    }
 
-  // A second identical query is served by the decoded LRU: no storage reads,
-  // and the trace says so too.
-  counting->ResetCount();
-  obs::QueryTrace warm;
-  ASSERT_TRUE(
-      dg->GetSnapshots(times, kCompAll, obs::TraceCtx{&warm, obs::kNoSpan}).ok());
-  warm.Finish();
-  EXPECT_EQ(counting->keys_read(), 0u);
-  EXPECT_EQ(SumSpanKvKeys(warm), 0u);
-  EXPECT_EQ(warm.kv_reads.load(), 0u);
-  EXPECT_GT(warm.lru_hits.load(), 0u);
+    // A second identical query is served by the decoded LRU: no storage
+    // reads, and the trace says so too.
+    counting->ResetCount();
+    obs::QueryTrace warm;
+    ASSERT_TRUE(
+        dg->GetSnapshots(times, kCompAll, obs::TraceCtx{&warm, obs::kNoSpan}).ok());
+    warm.Finish();
+    EXPECT_EQ(counting->keys_read(), 0u);
+    EXPECT_EQ(SumSpanKvKeys(warm), 0u);
+    EXPECT_EQ(warm.kv_reads.load(), 0u);
+    EXPECT_GT(warm.lru_hits.load(), 0u);
+  }
 }
 
 TEST(TraceTest, PrefetchCoverageIsFullOnPrefetchedPinnedPlan) {
@@ -493,9 +518,9 @@ TEST(TraceTest, PrefetchCoverageIsFullOnPrefetchedPinnedPlan) {
     // Prefetch the whole plan and wait for it to land before executing: every
     // fetch the executor performs is then served by the prefetched pin, so
     // coverage is exactly 1.0 (no scheduling race to tolerate).
-    ExecFetchCache cache;
+    ExecFetchCache cache(*dg);
     cache.SetTrace(tc);
-    StartCollectedPrefetch(*dg, dg->skeleton(), fetches, kCompAll, &cache, &io);
+    StartCollectedPrefetch(dg->skeleton(), fetches, kCompAll, &cache, &io);
     cache.WaitPrefetchesIdle();
     PlanExecutor executor(dg.get(), dg->PinFrontier(), kCompAll, &TaskPool::Serial(),
                           &cache);

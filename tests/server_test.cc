@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/retrieval_session.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -409,6 +410,51 @@ TEST(ServerObsTest, SlowQueryLogCarriesMatchingEpochAndSpanTree) {
     if (e.seq == seq) still_there = true;
   }
   EXPECT_TRUE(still_there);
+}
+
+TEST(ServerObsTest, EachQueryFeedsTheSamplerOnce) {
+  // Whoever sampled a query feeds its latency back, once: the server for a
+  // served query, the session for a session query, GetSnapshots for a direct
+  // one. With a 1us arm threshold every query counts as slow.
+  const bool metrics_were_on = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  RandomTraceOptions topts;
+  topts.num_events = 1000;
+  topts.seed = 5150;
+  const GeneratedTrace trace = GenerateRandomTrace(topts);
+  auto store = NewMemKVStore();
+  HistGraphServerOptions opts;
+  opts.manager.index.leaf_size = 100;
+  opts.trace_sample_every_n = 0;
+  opts.slow_query_us = 1;
+  auto server = HistGraphServer::Create(store.get(), opts);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Append(trace.events).ok());
+  ASSERT_TRUE((*server)->Finalize().ok());
+  ASSERT_TRUE((*server)->Flush().ok());
+  const Timestamp hi = trace.events.back().time;
+  obs::TraceSampler& sampler = obs::TraceSampler::Global();
+
+  sampler.ResetCounters();
+  ASSERT_TRUE((*server)->Retrieve({hi / 2}).ok());
+  EXPECT_EQ(sampler.slow_observed(), 1u) << "served query";
+
+  sampler.ResetCounters();
+  {
+    auto session = (*server)->manager().NewRetrievalSession();
+    session->Submit({hi / 3, hi / 2});
+    ASSERT_TRUE(session->Wait().ok());
+    ASSERT_TRUE(session->Wait().ok());  // Idempotent: no second observation.
+  }
+  EXPECT_EQ(sampler.slow_observed(), 1u) << "session query";
+
+  sampler.ResetCounters();
+  ASSERT_TRUE((*server)->manager().index().GetSnapshots({hi / 2}).ok());
+  EXPECT_EQ(sampler.slow_observed(), 1u) << "direct query";
+
+  sampler.Configure(/*every_n=*/0, /*arm_threshold_us=*/0);
+  sampler.ResetCounters();
+  obs::SetMetricsEnabled(metrics_were_on);
 }
 
 TEST(ServerObsTest, WatchdogFlagsStalledIngestOp) {

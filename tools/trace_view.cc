@@ -22,7 +22,7 @@
 //       io.drain (shard=0, queued=4, claimed=3, ...)      116 us  10.9%
 //     ...
 //     request (times=3, shards=3, steps=34, ..., shard_skew=1.21)  1.05 ms
-//       execute (tasks=2, busy_us=407)                    629 us  59.0%
+//       execute (shard=0, tasks=2, busy_us=407)           629 us  59.0%
 //       ...
 //       merge                                              14 us   1.3%
 
