@@ -109,7 +109,7 @@ void BM_KVStorePutGet(benchmark::State& state) {
   size_t i = 0;
   std::string out;
   for (auto _ : state) {
-    const std::string key = "k" + std::to_string(i % 1024);
+    const std::string key = std::string("k").append(std::to_string(i % 1024));
     benchmark::DoNotOptimize(store->Put(key, value));
     benchmark::DoNotOptimize(store->Get(key, &out));
     ++i;

@@ -19,16 +19,16 @@ int main() {
   TraceWorld& w = *trace.world;
   Rng& rng = w.rng();
   Timestamp t = 1;
+  auto label = [&] { return std::string("l").append(std::to_string(rng.Uniform(10))); };
   for (size_t i = 0; i < 8; ++i) {
     const NodeId n = w.AddNode(t, 0, &trace.events);
-    w.SetNodeAttr(t, n, "label", "l" + std::to_string(rng.Uniform(10)), &trace.events);
+    w.SetNodeAttr(t, n, "label", label(), &trace.events);
   }
   while (trace.events.size() < num_events) {
     t += 1;
     if (rng.Chance(0.25)) {
       const NodeId n = w.AddNode(t, 0, &trace.events);
-      w.SetNodeAttr(t, n, "label", "l" + std::to_string(rng.Uniform(10)),
-                    &trace.events);
+      w.SetNodeAttr(t, n, "label", label(), &trace.events);
     } else {
       w.AddRandomEdge(t, false, &trace.events);
     }

@@ -1,5 +1,8 @@
 #include "auxiliary/aux_index_base.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace hgdb {
 
 Status AuxIndexBase::BuildOnEvent(const Event& e, const Snapshot& graph_after) {
@@ -16,15 +19,26 @@ Status AuxIndexBase::BuildOnEvent(const Event& e, const Snapshot& graph_after) {
 }
 
 Status AuxIndexBase::BuildOnLeaf(int32_t leaf_id, int32_t prev_leaf_id,
-                                 int32_t eventlist_edge_id) {
+                                 int32_t eventlist_edge_id, Timestamp boundary_time) {
   (void)prev_leaf_id;
-  pending_[leaf_id] = current_;
+  // Aux events past the boundary belong to the next leaf: they stay recent,
+  // and the leaf's snapshot is the running one with them undone.
+  const auto later =
+      std::find_if(recent_.begin(), recent_.end(),
+                   [&](const AuxEvent& ae) { return ae.time > boundary_time; });
+  std::vector<AuxEvent> held(std::make_move_iterator(later),
+                             std::make_move_iterator(recent_.end()));
+  recent_.erase(later, recent_.end());
+  AuxSnapshot at_leaf = current_;
+  HG_RETURN_NOT_OK(ApplyAuxEvents(held, /*forward=*/false, kMinTimestamp,
+                                  kMaxTimestamp, &at_leaf));
+  pending_[leaf_id] = std::move(at_leaf);
   if (eventlist_edge_id >= 0) {
     std::string blob;
     EncodeAuxEvents(recent_, &blob);
     HG_RETURN_NOT_OK(store_->Put(EdgeKey(eventlist_edge_id), blob));
   }
-  recent_.clear();
+  recent_ = std::move(held);
   return Status::OK();
 }
 

@@ -51,8 +51,8 @@ class AuxIndexBase : public AuxIndexHook {
 
   // -- Build-time callbacks (wired by the DeltaGraph) ----------------------------
   Status BuildOnEvent(const Event& e, const Snapshot& graph_after) override;
-  Status BuildOnLeaf(int32_t leaf_id, int32_t prev_leaf_id,
-                     int32_t eventlist_edge_id) override;
+  Status BuildOnLeaf(int32_t leaf_id, int32_t prev_leaf_id, int32_t eventlist_edge_id,
+                     Timestamp boundary_time) override;
   Status BuildOnParent(int32_t parent_id, const std::vector<int32_t>& children,
                        const std::vector<int32_t>& delta_edge_ids) override;
   Status BuildOnSuperRootEdge(int32_t edge_id, int32_t node_id) override;

@@ -135,15 +135,21 @@ bool TimeExpression::Eval(const Node& n, const std::vector<bool>& membership) {
 }
 
 std::string TimeExpression::Render(const Node& n) {
+  // Appended piecewise: GCC 12 misreports `"lit" + std::string&&` under
+  // -Wrestrict.
+  std::string out;
   switch (n.op) {
     case Node::Op::kVar:
-      return "t" + std::to_string(n.var);
+      return out.append("t").append(std::to_string(n.var));
     case Node::Op::kAnd:
-      return "(" + Render(*n.lhs) + " & " + Render(*n.rhs) + ")";
     case Node::Op::kOr:
-      return "(" + Render(*n.lhs) + " | " + Render(*n.rhs) + ")";
+      return out.append("(")
+          .append(Render(*n.lhs))
+          .append(n.op == Node::Op::kAnd ? " & " : " | ")
+          .append(Render(*n.rhs))
+          .append(")");
     case Node::Op::kNot:
-      return "!" + Render(*n.lhs);
+      return out.append("!").append(Render(*n.lhs));
   }
   return "?";
 }

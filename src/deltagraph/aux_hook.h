@@ -52,12 +52,14 @@ class AuxIndexHook {
   /// auxiliary event (CreateAuxEvent) and updates its running aux snapshot.
   virtual Status BuildOnEvent(const Event& e, const Snapshot& graph_after) = 0;
 
-  /// Called when a leaf is cut: the hook must snapshot its running auxiliary
-  /// state as the leaf's aux snapshot and persist the auxiliary eventlist for
-  /// `eventlist_edge_id` (the edge from `prev_leaf_id` to `leaf_id`; -1 for
-  /// the first leaf).
+  /// Called when a leaf is cut at `boundary_time`: the hook must snapshot its
+  /// auxiliary state as of that time as the leaf's aux snapshot and persist
+  /// the auxiliary eventlist for `eventlist_edge_id` (the edge from
+  /// `prev_leaf_id` to `leaf_id`; -1 for the first leaf). Events already
+  /// seen may be newer than the boundary: Finalize holds a trailing
+  /// equal-time run back for the next leaf.
   virtual Status BuildOnLeaf(int32_t leaf_id, int32_t prev_leaf_id,
-                             int32_t eventlist_edge_id) = 0;
+                             int32_t eventlist_edge_id, Timestamp boundary_time) = 0;
 
   /// Called when an interior node is formed from `children`. The hook applies
   /// its differential function (AuxDF) over the children's aux snapshots and

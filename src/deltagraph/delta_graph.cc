@@ -81,6 +81,7 @@ Result<std::unique_ptr<DeltaGraph>> DeltaGraph::Create(KVStore* store,
     dg->functions_.push_back(std::move(fn).value());
   }
   dg->pending_.resize(dg->functions_.size());
+  dg->unattached_events_.resize(dg->functions_.size());
   SkeletonNode super;
   super.level = 0;
   super.is_super_root = true;
@@ -264,7 +265,7 @@ Status DeltaGraph::SetInitialSnapshot(const Snapshot& g0, Timestamp t0) {
   has_initial_leaf_ = true;
   for (auto* hook : aux_hooks_) {
     HG_RETURN_NOT_OK(hook->BuildOnInitialSnapshot(g0));
-    HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, -1, -1));
+    HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, -1, -1, t0));
   }
   PublishFrontier();
   return Status::OK();
@@ -310,7 +311,7 @@ Status DeltaGraph::AppendOne(const Event& e) {
       pending_[h][0].push_back(Pending{leaf_id, graph});
     }
     for (auto* hook : aux_hooks_) {
-      HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, -1, -1));
+      HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, -1, -1, leaf.boundary_time));
     }
     has_initial_leaf_ = true;
   }
@@ -380,13 +381,16 @@ Status DeltaGraph::CutLeaf(size_t prefix) {
     HG_RETURN_NOT_OK(store_.PutEventList(edge.delta_id, cut, &edge.sizes));
   }
   const int32_t edge_id = skeleton_.AddEdge(edge);
+  for (auto& chain : unattached_events_) {
+    if (chain) *chain += prefix;
+  }
 
   for (size_t h = 0; h < functions_.size(); ++h) {
     if (pending_[h].empty()) pending_[h].emplace_back();
     pending_[h][0].push_back(Pending{leaf_id, graph});
   }
   for (auto* hook : aux_hooks_) {
-    HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, prev_leaf, edge_id));
+    HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, prev_leaf, edge_id, leaf.boundary_time));
   }
   if (full) {
     recent_.Clear();
@@ -468,7 +472,16 @@ Status DeltaGraph::CascadeMerges(bool force_partial) {
 }
 
 Status DeltaGraph::AttachSuperRoot(size_t hierarchy, const Pending& pending_root) {
-  // Skip if this node is already attached.
+  // A super-root delta is a full copy of the root's graph. It pays only when
+  // it is cheaper than the path it bypasses: the eventlists from the last
+  // leaf under the hierarchy's previously attached root, which already reach
+  // every time under this root. So attach only while that chain is unknown
+  // or holds more events than the root has elements.
+  std::optional<size_t>& chain = unattached_events_[hierarchy];
+  if (chain && *chain <= pending_root.graph->ElementCount()) return Status::OK();
+  chain = 0;
+  // Skip if this node is already attached (a lone leaf root is shared by
+  // every hierarchy).
   for (int32_t eid : skeleton_.incident_edges(skeleton_.super_root())) {
     const SkeletonEdge& e = skeleton_.edge(eid);
     if (!e.deleted && e.to == pending_root.node_id) return Status::OK();
@@ -484,7 +497,6 @@ Status DeltaGraph::AttachSuperRoot(size_t hierarchy, const Pending& pending_root
   for (auto* hook : aux_hooks_) {
     HG_RETURN_NOT_OK(hook->BuildOnSuperRootEdge(eid, pending_root.node_id));
   }
-  (void)hierarchy;
   return Status::OK();
 }
 
@@ -542,12 +554,25 @@ Status DeltaGraph::PersistMeta() {
 // ---------------------------------------------------------------------------
 
 std::vector<int32_t> DeltaGraph::NodesAtDepth(int depth) const {
+  // The roots: every node no parent delta points to, other than the
+  // super-root and the nodes still pending a parent. Finalize leaves some
+  // roots unattached, so the super-root's children are not all of them.
+  std::vector<bool> is_root(skeleton_.node_count(), true);
+  if (skeleton_.super_root() >= 0) is_root[skeleton_.super_root()] = false;
+  for (size_t i = 0; i < skeleton_.edge_count(); ++i) {
+    const SkeletonEdge& e = skeleton_.edge(static_cast<int32_t>(i));
+    if (!e.deleted && !e.is_eventlist && e.from != skeleton_.super_root()) {
+      is_root[e.to] = false;
+    }
+  }
+  for (const auto& levels : pending_) {
+    for (const auto& level : levels) {
+      for (const Pending& p : level) is_root[p.node_id] = false;
+    }
+  }
   std::vector<int32_t> frontier;
-  const int32_t sr = skeleton_.super_root();
-  if (sr < 0) return frontier;
-  for (int32_t eid : skeleton_.incident_edges(sr)) {
-    const SkeletonEdge& e = skeleton_.edge(eid);
-    if (!e.deleted && !e.is_eventlist && e.from == sr) frontier.push_back(e.to);
+  for (size_t i = 0; i < is_root.size(); ++i) {
+    if (is_root[i]) frontier.push_back(static_cast<int32_t>(i));
   }
   for (int d = 0; d < depth; ++d) {
     std::vector<int32_t> next;

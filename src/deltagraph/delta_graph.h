@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -117,7 +118,10 @@ class DeltaGraph {
   /// Flushes the trailing partial eventlist as a final (short) leaf, builds
   /// parents for all pending nodes up to the root(s), attaches root(s) to the
   /// super-root, and persists the skeleton. Idempotent; callable again after
-  /// further appends.
+  /// further appends. A later root is attached only when the leaf
+  /// eventlists cut since its hierarchy's last attached root hold more
+  /// events than the root has elements; otherwise its window stays reached
+  /// through those eventlists (see src/deltagraph/README.md).
   Status Finalize();
 
   // -- Snapshot retrieval -----------------------------------------------------
@@ -194,8 +198,8 @@ class DeltaGraph {
   /// may start from it at near-zero cost.
   Status MaterializeNode(int32_t node_id, unsigned components = kCompAll);
   Status UnmaterializeNode(int32_t node_id);
-  /// Nodes at `depth` edges below the super-root (0 = roots, 1 = their
-  /// children, ...).
+  /// Nodes at `depth` edges below the hierarchy roots (0 = every finalized
+  /// root, attached to the super-root or not; 1 = their children, ...).
   std::vector<int32_t> NodesAtDepth(int depth) const;
   /// Materializes every node at the given depth; returns how many.
   Result<size_t> MaterializeDepth(int depth, unsigned components = kCompAll);
@@ -358,6 +362,10 @@ class DeltaGraph {
 
   /// pending_[h][l] = nodes at level l+1 awaiting a parent in hierarchy h.
   std::vector<std::vector<std::vector<Pending>>> pending_;
+  /// Per hierarchy: events in the leaf eventlists cut since its last
+  /// super-root attachment, or nullopt while unknown (nothing attached yet,
+  /// or the index was reopened), which makes the next root attach.
+  std::vector<std::optional<size_t>> unattached_events_;
 
   std::map<int32_t, std::shared_ptr<Snapshot>> materialized_;
   /// Per-skeleton-node touch counters (see node_touches()). Mutable: queries

@@ -17,7 +17,9 @@ namespace {
 /// shard count of a single-store partitioned index.
 constexpr char kShardCountKey[] = "pm/shards";
 
-std::string ShardPrefix(size_t i) { return "s" + std::to_string(i) + "/"; }
+std::string ShardPrefix(size_t i) {
+  return std::string("s").append(std::to_string(i)).append("/");
+}
 
 }  // namespace
 

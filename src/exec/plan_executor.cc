@@ -15,11 +15,12 @@ PlanExecutor::PlanExecutor(const DeltaGraph* dg, FrontierPtr frontier,
       components_(components),
       pool_(pool),
       io_pool_(io_pool),
-      fetches_(shared_cache != nullptr ? shared_cache : &own_cache_),
-      own_cache_(*dg) {
+      fetches_(shared_cache) {
+  if (fetches_ != nullptr) return;
   // Our own cache can offload blob decode to the compute pool (a shared
   // cache's owner decides for itself; a serial pool keeps decode inline).
-  own_cache_.SetDecodePool(pool_);
+  fetches_ = &own_cache_.emplace(*dg);
+  own_cache_->SetDecodePool(pool_);
 }
 
 Result<DeltaGraph::SnapshotPlanResults> PlanExecutor::Run(const Plan& plan) {
@@ -53,9 +54,7 @@ bool PlanExecutor::Begin(const Plan& plan) {
     if (shard_ >= 0) tc_.trace->SetAttr(exec_span_, "shard", shard_);
     // Nest this execution's fetches under its span — but only through a cache
     // we own; a shared cache already carries its owner's attachment.
-    if (fetches_ == &own_cache_) {
-      own_cache_.SetTrace(obs::TraceCtx{tc_.trace, exec_span_});
-    }
+    if (own_cache_) own_cache_->SetTrace(obs::TraceCtx{tc_.trace, exec_span_});
   }
   // Queue every fetch the plan will perform before the first step runs;
   // tasks then overlap apply work with the I/O pool's fetches and block

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <optional>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -101,8 +102,10 @@ class PlanExecutor {
   const unsigned components_;
   TaskPool* pool_;
   IoPool* io_pool_;
+  /// The cache fetches go through: the session's shared one, else own_cache_.
   ExecFetchCache* fetches_;
-  ExecFetchCache own_cache_;
+  /// Built only when no shared cache was passed.
+  std::optional<ExecFetchCache> own_cache_;
 
   // Ordered sink: emits land keyed by target, so assembly order never
   // depends on scheduling.

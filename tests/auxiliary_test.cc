@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "auxiliary/path_index.h"
+#include "tests/finalize_rounds.h"
 #include "workload/generators.h"
 #include "workload/trace_world.h"
 
@@ -117,7 +120,8 @@ GeneratedTrace LabeledTrace(size_t num_events, uint64_t seed, int num_labels) {
 
 class PathIndexTest : public ::testing::Test {
  protected:
-  void Build(size_t num_events, uint64_t seed, size_t leaf_size = 150) {
+  /// An empty index with the path index hooked in, over a fresh trace.
+  void Create(size_t num_events, uint64_t seed, size_t leaf_size) {
     trace_ = LabeledTrace(num_events, seed, 4);
     store_ = NewMemKVStore();
     index_ = std::make_unique<PathIndex>(store_.get());
@@ -127,8 +131,22 @@ class PathIndexTest : public ::testing::Test {
     ASSERT_TRUE(dg.ok());
     dg_ = std::move(dg).value();
     dg_->RegisterAuxHook(index_.get());
+  }
+
+  void Build(size_t num_events, uint64_t seed, size_t leaf_size = 150) {
+    Create(num_events, seed, leaf_size);
     ASSERT_TRUE(dg_->AppendAll(trace_.events).ok());
     ASSERT_TRUE(dg_->Finalize().ok());
+  }
+
+  void ExpectAuxMatchesBruteForce(Timestamp t) {
+    auto state = dg_->GetAuxState(*index_, t);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    const auto& aux = static_cast<const AuxSnapshotState&>(*state.value()).snapshot;
+    AuxSnapshot expected = EnumerateAllLabelPaths(ReplayAt(trace_.events, t), "label");
+    EXPECT_TRUE(aux.Equals(expected))
+        << "t=" << t << " aux=" << aux.PairCount()
+        << " expected=" << expected.PairCount();
   }
 
   GeneratedTrace trace_;
@@ -155,15 +173,23 @@ TEST_F(PathIndexTest, HistoricalAuxSnapshotsMatchBruteForce) {
     probes.push_back(skel.node(skel.leaves()[i]).boundary_time);
     probes.push_back(skel.node(skel.leaves()[i]).boundary_time - 1);
   }
-  for (Timestamp t : probes) {
-    auto state = dg_->GetAuxState(*index_, t);
-    ASSERT_TRUE(state.ok()) << state.status().ToString();
-    const auto& aux = static_cast<const AuxSnapshotState&>(*state.value()).snapshot;
-    Snapshot g = ReplayAt(trace_.events, t);
-    AuxSnapshot expected = EnumerateAllLabelPaths(g, "label");
-    EXPECT_TRUE(aux.Equals(expected))
-        << "t=" << t << " aux=" << aux.PairCount()
-        << " expected=" << expected.PairCount();
+  for (Timestamp t : probes) ExpectAuxMatchesBruteForce(t);
+}
+
+// Rounds short next to the graph leave their roots off the super-root; the
+// aux walk then reaches those windows through the leaf eventlists (aux
+// events included) and must still equal the replayed graph's aux state.
+TEST_F(PathIndexTest, AuxStateAcrossUnattachedWindowsMatchesBruteForce) {
+  Create(1400, 17, 40);
+  const auto windows = test::AppendInFinalizedRounds(
+      dg_.get(), trace_.events, {700, 800, 900, 1000, 1100, 1200, 1300, 1400});
+  ASSERT_TRUE(std::any_of(windows.begin(), windows.end(),
+                          [](const auto& w) { return !w.attached; }));
+  for (const test::FinalizeWindow& w : windows) {
+    if (w.attached) continue;
+    for (Timestamp t : test::TimesInWindow(dg_->skeleton(), w)) {
+      ExpectAuxMatchesBruteForce(t);
+    }
   }
 }
 

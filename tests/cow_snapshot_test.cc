@@ -534,8 +534,8 @@ uint64_t BoundaryHeavyId(test::SeededRng& rng) {
 // change an existing value.
 void MutateOnce(test::SeededRng& rng, Snapshot* g) {
   const uint64_t id = BoundaryHeavyId(rng);
-  const std::string key = "k" + std::to_string(rng.Uniform(3));
-  const std::string value = "v" + std::to_string(rng.Uniform(3));
+  const std::string key = std::string("k").append(std::to_string(rng.Uniform(3)));
+  const std::string value = std::string("v").append(std::to_string(rng.Uniform(3)));
   switch (rng.Uniform(8)) {
     case 0: g->AddNode(id); break;
     case 1: g->RemoveNode(id); break;
@@ -588,7 +588,9 @@ TEST(SnapshotIntersectTest, AdoptsSharedAndSubsetChunksByPointer) {
   Snapshot a;
   for (NodeId n = 0; n < 1024; ++n) a.AddNode(n);
   for (EdgeId e = 0; e < 512; ++e) a.AddEdge(e, EdgeRecord{e, e + 1, false});
-  for (NodeId n = 0; n < 512; ++n) a.SetNodeAttr(n, "name", "n" + std::to_string(n));
+  for (NodeId n = 0; n < 512; ++n) {
+    a.SetNodeAttr(n, "name", std::string("n").append(std::to_string(n)));
+  }
   for (EdgeId e = 0; e < 512; ++e) a.SetEdgeAttr(e, "w", "1");
   Snapshot b = a;
   // Every store diverges, each in a way whose meet is one side's chunk:

@@ -8,6 +8,7 @@
 #include "deltagraph/delta_graph.h"
 #include "deltagraph/differential.h"
 #include "deltagraph/partitioned_delta_graph.h"
+#include "tests/finalize_rounds.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 #include "workload/trace_world.h"
@@ -1185,6 +1186,51 @@ TEST(MaterializationPathsTest, AllPathsLeaveIdenticalSkeletonState) {
       EXPECT_EQ(na.element_count,
                 per_node->materialized_snapshot(id)->ElementCount())
           << "node " << id;
+    }
+  }
+}
+
+// Finalize leaves a later root off the super-root while the eventlists since
+// the last attached root are short, but that root still heads its subtree:
+// depth 0 lists every root, deep enough the frontier is the whole leaf set,
+// and materializing by depth reaches the unattached subtrees too.
+TEST(MaterializationPathsTest, DepthCoversUnattachedRoots) {
+  RandomTraceOptions opts;
+  opts.num_events = 1500;
+  opts.seed = 23;
+  GeneratedTrace trace = GenerateRandomTrace(opts);
+  auto store = NewMemKVStore();
+  DeltaGraphOptions dgo;
+  dgo.leaf_size = 50;
+  auto dg = DeltaGraph::Create(store.get(), dgo);
+  ASSERT_TRUE(dg.ok()) << dg.status().ToString();
+  // A bulk load, then short rounds: their eventlist chains stay below the
+  // graph's size, so most of their roots go unattached.
+  const auto windows = test::AppendInFinalizedRounds(
+      dg.value().get(), trace.events, {800, 900, 1000, 1100, 1200, 1300, 1400, 1500});
+  const size_t unattached = static_cast<size_t>(std::count_if(
+      windows.begin(), windows.end(), [](const auto& w) { return !w.attached; }));
+  ASSERT_GT(unattached, 0u);
+  const Skeleton& skel = dg.value()->skeleton();
+  EXPECT_EQ(test::SuperRootEdges(skel), windows.size() - unattached);
+
+  // One root per Finalize (a single hierarchy).
+  EXPECT_EQ(dg.value()->NodesAtDepth(0).size(), windows.size());
+  std::vector<int32_t> leaves = skel.leaves();
+  std::sort(leaves.begin(), leaves.end());
+  EXPECT_EQ(dg.value()->NodesAtDepth(64), leaves);
+
+  auto md = dg.value()->MaterializeDepth(0);
+  ASSERT_TRUE(md.ok()) << md.status().ToString();
+  EXPECT_EQ(md.value(), windows.size());
+  for (const test::FinalizeWindow& w : windows) {
+    if (w.begin == 0) continue;
+    for (Timestamp t : test::TimesInWindow(skel, w)) {
+      auto snap = dg.value()->GetSnapshot(t);
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      Snapshot expected = ReplayAt(trace.events, t);
+      EXPECT_TRUE(snap.value().Equals(expected))
+          << "t=" << t << "\n" << snap.value().DiffString(expected);
     }
   }
 }

@@ -95,7 +95,7 @@ TEST_P(KVStoreTest, MultiGetAmortizesSimulatedLatency) {
   std::vector<Slice> keys;
   std::vector<std::string> backing;
   for (int i = 0; i < 10; ++i) {
-    backing.push_back("k" + std::to_string(i));
+    backing.push_back(std::string("k").append(std::to_string(i)));
     ASSERT_TRUE(store_->Put(backing.back(), "v").ok());
   }
   for (const auto& k : backing) keys.push_back(Slice(k));

@@ -883,7 +883,7 @@ TEST(FlightRecorderTest, RecentRingTrimsAndSlowLogRetains) {
   // Six fast traces cycle the recent ring; only the last four survive.
   for (int i = 0; i < 6; ++i) {
     obs::QueryTrace trace;
-    trace.set_query_label("q" + std::to_string(i));
+    trace.set_query_label(std::string("q").append(std::to_string(i)));
     trace.Finish();
     recorder.Record(trace);
   }

@@ -14,8 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "deltagraph/delta_graph.h"
@@ -23,6 +26,7 @@
 #include "exec/io_pool.h"
 #include "exec/task_pool.h"
 #include "kvstore/kv_store.h"
+#include "tests/finalize_rounds.h"
 #include "tests/test_oracle.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -263,6 +267,176 @@ TEST(ReplayOracleTest, PostFinalizeAppendsVisibleAtBoundaryTimes) {
       EXPECT_TRUE(oracle.Matches(got.value())) << "t=" << t;
     }
   }
+}
+
+// The pinned frontier `f` without its current graph: plans against it must
+// rebuild every answer from the skeleton.
+FrontierPtr WithoutCurrent(const FrontierPtr& f) {
+  auto copy = std::make_shared<FrontierState>(*f);
+  copy->current = nullptr;
+  return copy;
+}
+
+// Expects every answer `dg` gives at `times` — multipoint and singlepoint,
+// with and without the current graph — to equal the replay of the prefix of
+// `log` its frontier claims.
+void ExpectShardAnswersMatchReplay(const DeltaGraph& dg, const std::vector<Event>& log,
+                                   const std::vector<Timestamp>& times) {
+  const FrontierPtr pinned = dg.PinFrontier();
+  ASSERT_LE(pinned->event_count, log.size());
+  const std::vector<Event> prefix(log.begin(), log.begin() + pinned->event_count);
+  for (const FrontierPtr& f : {pinned, WithoutCurrent(pinned)}) {
+    SCOPED_TRACE(f->current ? "with current graph" : "without current graph");
+    auto multi = dg.GetSnapshotsAt(f, times);
+    ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+    for (size_t i = 0; i < times.size(); ++i) {
+      const auto oracle = test::NaiveReplayOracle::At(prefix, times[i], kCompAll);
+      EXPECT_TRUE(oracle.Matches(multi.value()[i])) << "multipoint t=" << times[i];
+      auto single = dg.GetSnapshotsAt(f, {times[i]});
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      EXPECT_TRUE(oracle.Matches(single.value()[0])) << "singlepoint t=" << times[i];
+    }
+  }
+}
+
+// Finalize's attach rule, replayed from what a shard exposes: per hierarchy
+// the events indexed since its last attached root (unknown until a root
+// attaches, and again after a reopen), and which roots are new.
+struct AttachModel {
+  std::vector<std::optional<size_t>> chain;  // Per hierarchy.
+  size_t indexed = 0;
+  std::set<int32_t> roots;
+  std::set<int32_t> attached;
+  size_t skipped = 0;
+  size_t reattached = 0;  // Attached because the chain outgrew the root.
+
+  // Folds in one Finalize of `dg` and returns the live super-root edges the
+  // rule predicts.
+  size_t AfterFinalize(const DeltaGraph& dg) {
+    const FrontierPtr f = dg.PinFrontier();
+    const size_t now = f->event_count - f->recent.size();
+    for (auto& c : chain) {
+      if (c) *c += now - indexed;
+    }
+    indexed = now;
+    const Skeleton& skel = dg.skeleton();
+    for (int32_t root : dg.NodesAtDepth(0)) {
+      if (!roots.insert(root).second) continue;
+      const SkeletonNode& n = skel.node(root);
+      for (size_t h = 0; h < chain.size(); ++h) {
+        // A lone leaf root is every hierarchy's root.
+        if (!n.is_leaf && static_cast<size_t>(n.hierarchy) != h) continue;
+        if (chain[h] && *chain[h] <= n.element_count) {
+          ++skipped;
+          continue;
+        }
+        if (chain[h]) ++reattached;
+        chain[h] = 0;
+        attached.insert(root);
+      }
+    }
+    return attached.size();
+  }
+};
+
+// Repeated append + Finalize rounds with one reopen between them, on 1 and 2
+// shards, with one and with two hierarchies. Finalize gives a later root a
+// super-root delta only when the leaf eventlists since its hierarchy's last
+// attached root hold more events than the root has elements, so most of
+// these rounds leave their root unattached and their window reachable
+// through eventlists alone. Every window must still read back exactly, and
+// each shard's live super-root edges must be one per attached root: one per
+// hierarchy, plus the re-attachments.
+TEST(ReplayOracleTest, RepeatedFinalizeWindowsMatchNaiveReplay) {
+  const char* kFunctions[] = {"intersection", "union", "balanced"};
+  size_t skipped = 0, reattached = 0;
+  for (uint64_t seed : test::PropertySeeds(6, 9400)) {
+    test::SeededRng rng(seed);
+    SCOPED_TRACE(rng.Desc());
+    RandomTraceOptions topts;
+    topts.num_events = 900 + rng.Uniform(400);
+    topts.seed = seed * 131 + 7;
+    topts.p_same_time = 0.10 + rng.NextDouble() * 0.30;
+    GeneratedTrace trace = GenerateRandomTrace(topts);
+    const std::vector<Event>& log = trace.events;
+    // A bulk load, then rounds far smaller than the graph.
+    std::vector<size_t> cuts = {log.size() / 2};
+    while (cuts.back() < log.size()) {
+      cuts.push_back(std::min(log.size(), cuts.back() + 30 + rng.Uniform(90)));
+    }
+    const size_t reopen_before = 1 + rng.Uniform(cuts.size() - 1);
+    const size_t first_fn = rng.Uniform(3);
+
+    for (size_t shards : {1, 2}) {
+      for (size_t hierarchies : {1, 2}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " hierarchies=" + std::to_string(hierarchies));
+        DeltaGraphOptions opts;
+        opts.leaf_size = 20 + rng.Uniform(40);
+        opts.arity = 2 + static_cast<int>(rng.Uniform(2));
+        opts.functions = {kFunctions[first_fn]};
+        if (hierarchies == 2) opts.functions.push_back(kFunctions[(first_fn + 1) % 3]);
+        auto base = NewMemKVStore();
+        auto created = PartitionedDeltaGraph::Create(base.get(), shards, opts);
+        ASSERT_TRUE(created.ok()) << created.status().ToString();
+        std::unique_ptr<PartitionedDeltaGraph> pdg = std::move(created).value();
+
+        std::vector<std::vector<Event>> shard_logs(shards);
+        for (const Event& e : log) shard_logs[pdg->PartitionOf(e)].push_back(e);
+        std::vector<AttachModel> models(shards);
+        for (AttachModel& m : models) m.chain.resize(hierarchies);
+
+        std::vector<Timestamp> window_times;  // Inside every window so far.
+        size_t next = 0;
+        for (size_t r = 0; r < cuts.size(); ++r) {
+          if (r == reopen_before) {
+            pdg.reset();
+            auto reopened = PartitionedDeltaGraph::Open(base.get());
+            ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+            pdg = std::move(reopened).value();
+            for (AttachModel& m : models) m.chain.assign(hierarchies, std::nullopt);
+          }
+          const std::vector<Event> round(log.begin() + next, log.begin() + cuts[r]);
+          ASSERT_TRUE(pdg->AppendAll(round).ok());
+          ASSERT_TRUE(pdg->Finalize().ok());
+          next = cuts[r];
+          for (size_t s = 0; s < shards; ++s) {
+            EXPECT_EQ(test::SuperRootEdges(pdg->partition(s)->skeleton()),
+                      models[s].AfterFinalize(*pdg->partition(s)))
+                << "round " << r << " shard " << s;
+          }
+
+          const std::vector<Timestamp> times = {
+              round.front().time, round[round.size() / 2].time,
+              round.back().time - 1, round.back().time};
+          window_times.insert(window_times.end(), times.begin(), times.end());
+          for (size_t s = 0; s < shards; ++s) {
+            ExpectShardAnswersMatchReplay(*pdg->partition(s), shard_logs[s], times);
+          }
+        }
+        for (const AttachModel& m : models) {
+          skipped += m.skipped;
+          reattached += m.reattached;
+        }
+
+        // Every window at once, per shard and merged across shards.
+        for (size_t s = 0; s < shards; ++s) {
+          ExpectShardAnswersMatchReplay(*pdg->partition(s), shard_logs[s], window_times);
+        }
+        auto merged = pdg->GetSnapshots(window_times);
+        ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+        for (size_t i = 0; i < window_times.size(); ++i) {
+          EXPECT_TRUE(test::NaiveReplayOracle::At(log, window_times[i], kCompAll)
+                          .Matches(merged.value()[i]))
+              << "merged t=" << window_times[i];
+        }
+      }
+    }
+  }
+  // Both sides of the rule ran: roots left unattached, and roots attached
+  // again once their chain outgrew them.
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(reattached, 0u);
 }
 
 }  // namespace

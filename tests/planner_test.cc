@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "deltagraph/delta_graph.h"
 #include "deltagraph/planner.h"
+#include "kvstore/kv_store.h"
+#include "tests/finalize_rounds.h"
+#include "tests/test_util.h"
 #include "workload/generators.h"
 
 namespace hgdb {
@@ -325,6 +331,65 @@ TEST_F(PlannerFixture, CacheIsComponentSpecific) {
   auto s2 = planner.PlanSinglepointCached(20, kCompStruct | kCompNodeAttr, &cache);
   ASSERT_TRUE(s2.ok());
   EXPECT_GT(s2.value().estimated_cost, struct_cost);  // Rebuilt for new mask.
+}
+
+// A window whose root Finalize left off the super-root hangs from the last
+// leaf of the latest attached window by the leaf eventlists. So every plan
+// for a time in it costs at most that leaf's cost plus the planner weight
+// (per-fetch overhead + bytes) of each eventlist from there to the window's
+// end — which Finalize keeps below one root's worth of events.
+TEST(PlannerBoundTest, UnattachedWindowCostsAtMostChainStartPlusChain) {
+  const PlannerCosts costs;
+  size_t unattached = 0;
+  for (uint64_t seed : test::PropertySeeds(6, 7700)) {
+    test::SeededRng rng(seed);
+    SCOPED_TRACE(rng.Desc());
+    RandomTraceOptions topts;
+    topts.num_events = 1400;
+    topts.seed = seed;
+    GeneratedTrace trace = GenerateRandomTrace(topts);
+    auto store = NewMemKVStore();
+    DeltaGraphOptions opts;
+    opts.leaf_size = 30 + rng.Uniform(40);
+    opts.arity = 2 + static_cast<int>(rng.Uniform(2));
+    auto dg = DeltaGraph::Create(store.get(), opts);
+    ASSERT_TRUE(dg.ok()) << dg.status().ToString();
+    // A bulk load, then rounds far smaller than the graph.
+    std::vector<size_t> cuts = {700};
+    while (cuts.back() < trace.events.size()) {
+      cuts.push_back(std::min(trace.events.size(), cuts.back() + 50 + rng.Uniform(100)));
+    }
+    const auto windows =
+        test::AppendInFinalizedRounds(dg.value().get(), trace.events, cuts);
+
+    const Skeleton& skel = dg.value()->skeleton();
+    const std::vector<int32_t>& leaves = skel.leaves();
+    Planner planner(PlannerContext{.skeleton = &skel});
+    SsspCache cache;
+    for (const test::FinalizeWindow& w : windows) {
+      if (w.attached) continue;
+      ++unattached;
+      auto start = planner.PlanNodes({leaves[w.chain_start]}, kCompAll);
+      ASSERT_TRUE(start.ok()) << start.status().ToString();
+      double bound = start.value().estimated_cost;
+      for (size_t i = w.chain_start; i + 1 < w.end; ++i) {
+        const int32_t eid = skel.FindEventlistEdge(leaves[i], leaves[i + 1]);
+        ASSERT_GE(eid, 0);
+        bound += costs.per_edge_overhead +
+                 static_cast<double>(skel.edge(eid).sizes.TotalBytes(kCompAll));
+      }
+      for (Timestamp t : test::TimesInWindow(skel, w)) {
+        auto plan = planner.PlanSnapshots({t}, kCompAll);
+        auto cached = planner.PlanSinglepointCached(t, kCompAll, &cache);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+        // The slack covers only summation-order rounding.
+        EXPECT_LE(plan.value().estimated_cost, bound + 1e-6) << "t=" << t;
+        EXPECT_LE(cached.value().estimated_cost, bound + 1e-6) << "t=" << t;
+      }
+    }
+  }
+  EXPECT_GT(unattached, 0u);
 }
 
 }  // namespace
